@@ -50,8 +50,7 @@ func main() {
 
 	fmt.Println("\n=== weekend effect (mean KS distance weekday vs weekend ranks) ===")
 	for _, p := range study.Providers() {
-		ds := study.Analysis.KSWeekendDistances(p, 0, 5000, false)
-		base := study.Analysis.KSWeekendDistances(p, 0, 5000, true)
+		ds, base := study.Analysis.KSWeekendDistances(p, 0, 5000)
 		fmt.Printf("%-9s: weekend %.3f vs weekday baseline %.3f\n",
 			p, stats.Mean(ds), stats.Mean(base))
 	}

@@ -275,9 +275,8 @@ func TestDaysIncludedCDF(t *testing.T) {
 
 func TestKSWeekendDistances(t *testing.T) {
 	c := ctx(t)
-	umb := c.KSWeekendDistances(providers.Umbrella, 0, 3000, false)
-	umbBase := c.KSWeekendDistances(providers.Umbrella, 0, 3000, true)
-	maj := c.KSWeekendDistances(providers.Majestic, 0, 3000, false)
+	umb, umbBase := c.KSWeekendDistances(providers.Umbrella, 0, 3000)
+	maj, _ := c.KSWeekendDistances(providers.Majestic, 0, 3000)
 	if len(umb) == 0 || len(umbBase) == 0 || len(maj) == 0 {
 		t.Fatal("empty KS samples")
 	}
@@ -438,10 +437,10 @@ func TestLogSizes(t *testing.T) {
 func TestRankMatrixSampling(t *testing.T) {
 	c := ctx(t)
 	m := c.buildRankMatrix(providers.Majestic, headSize, 50)
-	if len(m.ranks) > 50 {
-		t.Fatalf("sampling did not cap: %d", len(m.ranks))
+	if len(m.series) > 50 {
+		t.Fatalf("sampling did not cap: %d", len(m.series))
 	}
-	for _, s := range m.ranks {
+	for _, s := range m.series {
 		if len(s) != c.Arch.Days() {
 			t.Fatal("series length")
 		}
@@ -454,7 +453,7 @@ func TestWorldIDsFallback(t *testing.T) {
 	l := c.Arch.Get(providers.Alexa, 0)
 	names := l.Top(50).Names()
 	plain := toplist.New(names)
-	ids := c.worldIDs(plain)
+	ids := present(c.worldIDs(plain))
 	if len(ids) != 50 {
 		t.Fatalf("fallback resolved %d of 50", len(ids))
 	}

@@ -18,9 +18,9 @@ type IntersectionPoint struct {
 func (c *Context) IntersectionSeries(alexa, umbrella, majestic string, top int) []IntersectionPoint {
 	var out []IntersectionPoint
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		a := c.baseKeySet(c.subset(alexa, d, top))
-		u := c.baseKeySet(c.subset(umbrella, d, top))
-		m := c.baseKeySet(c.subset(majestic, d, top))
+		a := c.baseKeySet(alexa, d, top)
+		u := c.baseKeySet(umbrella, d, top)
+		m := c.baseKeySet(majestic, d, top)
 		p := IntersectionPoint{
 			Day:           d,
 			AlexaBases:    len(a),
@@ -78,10 +78,12 @@ func (c *Context) Table3(providers []string, head int) []DisjunctRow {
 		headU[i] = make(map[uint32]struct{})
 		fullU[i] = make(map[uint32]struct{})
 		for d := first; d <= last; d++ {
-			for _, id := range c.worldIDs(c.subset(p, d, head)) {
+			ids, _ := c.ids(p, d, head)
+			for _, id := range ids {
 				headU[i][id] = struct{}{}
 			}
-			for _, id := range c.worldIDs(c.subset(p, d, 0)) {
+			ids, _ = c.ids(p, d, 0)
+			for _, id := range ids {
 				fullU[i][id] = struct{}{}
 			}
 		}

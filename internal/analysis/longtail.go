@@ -51,7 +51,7 @@ func (c *Context) Table4(providers []string, alexaProvider string, rankTargets [
 		}
 		return true
 	}
-	ids := c.worldIDs(day0)
+	ids := present(c.worldIDs(day0))
 	var chosen []uint32
 	for _, target := range rankTargets {
 		if target < 1 {

@@ -7,19 +7,15 @@ import (
 	"repro/internal/toplist"
 )
 
-// kendallBetween computes Kendall's τ-b between the ranks two lists
-// assign to their common domains.
-func (c *Context) kendallBetween(a, b *toplist.List) float64 {
-	if a == nil || b == nil {
-		return math.NaN()
-	}
-	idsA := c.worldIDs(a)
-	rankB := make(map[uint32]int, b.Len())
-	for r, id := range c.worldIDs(b) {
+// kendallBetween computes Kendall's τ-b between the ranks two ID lists
+// assign to their common domains; NaN when fewer than two are common.
+func kendallBetween(a, b []uint32) float64 {
+	rankB := make(map[uint32]int, len(b))
+	for r, id := range b {
 		rankB[id] = r + 1
 	}
 	var xs, ys []float64
-	for r, id := range idsA {
+	for r, id := range a {
 		if rb, ok := rankB[id]; ok {
 			xs = append(xs, float64(r+1))
 			ys = append(ys, float64(rb))
@@ -35,11 +31,11 @@ func (c *Context) kendallBetween(a, b *toplist.List) float64 {
 // consecutive day pair of the provider's top subset.
 func (c *Context) KendallDayToDay(provider string, top int) []float64 {
 	var out []float64
-	var prev *toplist.List
+	var prev []uint32
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		cur := c.subset(provider, d, top)
+		cur, _ := c.ids(provider, d, top)
 		if prev != nil {
-			if tau := c.kendallBetween(prev, cur); !math.IsNaN(tau) {
+			if tau := kendallBetween(prev, cur); !math.IsNaN(tau) {
 				out = append(out, tau)
 			}
 		}
@@ -51,13 +47,14 @@ func (c *Context) KendallDayToDay(provider string, top int) []float64 {
 // KendallVsFirst computes Fig. 4's static series: τ between day 0's
 // subset and every later day.
 func (c *Context) KendallVsFirst(provider string, top int) []float64 {
-	first := c.subset(provider, c.Arch.First(), top)
+	first, _ := c.ids(provider, c.Arch.First(), top)
 	var out []float64
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
 		if d == c.Arch.First() {
 			return
 		}
-		if tau := c.kendallBetween(first, c.subset(provider, d, top)); !math.IsNaN(tau) {
+		cur, _ := c.ids(provider, d, top)
+		if tau := kendallBetween(first, cur); !math.IsNaN(tau) {
 			out = append(out, tau)
 		}
 	})

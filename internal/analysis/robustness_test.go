@@ -52,7 +52,7 @@ func TestIncompleteArchive(t *testing.T) {
 		}
 	}
 	_ = c.CumulativeUnique("absent", 0)
-	_ = c.KSWeekendDistances("gappy", 0, 100, false)
+	_, _ = c.KSWeekendDistances("gappy", 0, 100)
 }
 
 // TestTable4MissingAlexa exercises the nil-day0 guard.

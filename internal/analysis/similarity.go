@@ -44,9 +44,9 @@ func (c *Context) SimilarityBetween(a, b *toplist.List, p float64) Similarity {
 	s.RBO = stats.RBO(a.Names(), b.Names(), p)
 
 	// Common-domain projection, compressed to permutations of 1..k.
-	idsA := c.worldIDs(a)
+	idsA := present(c.worldIDs(a))
 	rankB := make(map[uint32]int, b.Len())
-	for r, id := range c.worldIDs(b) {
+	for r, id := range present(c.worldIDs(b)) {
 		if _, dup := rankB[id]; !dup {
 			rankB[id] = r + 1
 		}
@@ -100,7 +100,10 @@ func (c *Context) SimilarityDayToDay(provider string, top int, p float64) []Simi
 	var out []Similarity
 	var prev *toplist.List
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		cur := c.subset(provider, d, top)
+		cur := c.Arch.Get(provider, d)
+		if cur != nil && top > 0 {
+			cur = cur.Top(top)
+		}
 		if prev != nil && cur != nil {
 			out = append(out, c.SimilarityBetween(prev, cur, p))
 		}
@@ -114,8 +117,11 @@ func (c *Context) SimilarityDayToDay(provider string, top int, p float64) []Simi
 func (c *Context) SimilarityAcrossProviders(pa, pb string, top int, p float64) []Similarity {
 	var out []Similarity
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		a, b := c.subset(pa, d, top), c.subset(pb, d, top)
+		a, b := c.Arch.Get(pa, d), c.Arch.Get(pb, d)
 		if a != nil && b != nil {
+			if top > 0 {
+				a, b = a.Top(top), b.Top(top)
+			}
 			out = append(out, c.SimilarityBetween(a, b, p))
 		}
 	})

@@ -80,11 +80,14 @@ func TestSimilarityCrossProviderBelowWithinProvider(t *testing.T) {
 
 func TestSimilarityAgreesWithKendallPath(t *testing.T) {
 	// The τ field of SimilarityBetween must match the dedicated
-	// kendallBetween used by Fig. 4, on the same list pair.
+	// kendallBetween used by Fig. 4, on the same list pair read through
+	// the ID columns.
 	c := ctx(t)
 	a := c.Arch.Get(providers.Alexa, 0).Top(headSize)
 	b := c.Arch.Get(providers.Alexa, 1).Top(headSize)
-	want := c.kendallBetween(a, b)
+	idsA, _ := c.ids(providers.Alexa, 0, headSize)
+	idsB, _ := c.ids(providers.Alexa, 1, headSize)
+	want := kendallBetween(idsA, idsB)
 	got := c.SimilarityBetween(a, b, 0.99).Tau
 	if math.Abs(got-want) > 1e-12 {
 		t.Errorf("τ = %v via Similarity, %v via kendallBetween", got, want)

@@ -13,7 +13,8 @@ func (c *Context) DailyRemoved(provider string, top int) []int {
 	var out []int
 	var prev stats.IDSet
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		cur := stats.NewIDSet(c.worldIDs(c.subset(provider, d, top)))
+		ids, _ := c.ids(provider, d, top)
+		cur := stats.NewIDSet(ids)
 		if prev != nil {
 			out = append(out, prev.RemovedCount(cur))
 		}
@@ -28,14 +29,14 @@ func (c *Context) ChurnByRank(provider string, sizes []int, fromDay, toDay int) 
 	out := make([]float64, len(sizes))
 	counts := make([]int, len(sizes))
 	for d := fromDay; d < toDay-1; d++ {
-		cur := c.Arch.Get(provider, toplist.Day(d))
-		next := c.Arch.Get(provider, toplist.Day(d+1))
+		cur := c.column(provider, toplist.Day(d))
+		next := c.column(provider, toplist.Day(d+1))
 		if cur == nil || next == nil {
 			continue
 		}
 		for si, size := range sizes {
-			a := stats.NewIDSet(c.worldIDs(cur.Top(size)))
-			b := stats.NewIDSet(c.worldIDs(next.Top(size)))
+			a := stats.NewIDSet(present(cut(cur, size)))
+			b := stats.NewIDSet(present(cut(next, size)))
 			out[si] += float64(a.RemovedCount(b)) / float64(size)
 			counts[si]++
 		}
@@ -66,7 +67,8 @@ func (c *Context) CumulativeUnique(provider string, top int) []int {
 	union := make(map[uint32]struct{})
 	var out []int
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		for _, id := range c.worldIDs(c.subset(provider, d, top)) {
+		ids, _ := c.ids(provider, d, top)
+		for _, id := range ids {
 			union[id] = struct{}{}
 		}
 		out = append(out, len(union))
@@ -86,11 +88,13 @@ func (c *Context) DecayFromStart(provider string, top int) []float64 {
 	horizon := days - starts
 	series := make([][]float64, starts)
 	for s := 0; s < starts; s++ {
-		start := stats.NewIDSet(c.worldIDs(c.subset(provider, toplist.Day(s), top)))
+		ids, _ := c.ids(provider, toplist.Day(s), top)
+		start := stats.NewIDSet(ids)
 		n := float64(len(start))
 		series[s] = make([]float64, horizon)
 		for k := 0; k < horizon; k++ {
-			cur := stats.NewIDSet(c.worldIDs(c.subset(provider, toplist.Day(s+k), top)))
+			ids, _ := c.ids(provider, toplist.Day(s+k), top)
+			cur := stats.NewIDSet(ids)
 			series[s][k] = float64(start.IntersectionCount(cur)) / n
 		}
 	}
@@ -112,7 +116,8 @@ func (c *Context) DaysIncludedCDF(provider string, top int) *stats.ECDF {
 	counts := make(map[uint32]int)
 	days := 0
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		for _, id := range c.worldIDs(c.subset(provider, d, top)) {
+		ids, _ := c.ids(provider, d, top)
+		for _, id := range ids {
 			counts[id]++
 		}
 		days++
@@ -134,7 +139,7 @@ func (c *Context) NewVsRejoin(provider string, top int) float64 {
 	var shares []float64
 	day := 0
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		ids := c.worldIDs(c.subset(provider, d, top))
+		ids, _ := c.ids(provider, d, top)
 		cur := stats.NewIDSet(ids)
 		if prev != nil && day >= 8 {
 			var added, fresh int

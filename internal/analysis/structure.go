@@ -36,11 +36,10 @@ func (c *Context) Table2(provider string, top int) Table2Row {
 	day := 0
 
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		l := c.subset(provider, d, top)
-		if l == nil {
+		ids, n := c.ids(provider, d, top)
+		if n == 0 {
 			return
 		}
-		ids := c.worldIDs(l)
 
 		validTLD := make(map[string]struct{})
 		invalidTLD := make(map[string]struct{})
@@ -78,10 +77,7 @@ func (c *Context) Table2(provider string, top int) Table2Row {
 				row.SDM = int(in.depth)
 			}
 		}
-		size := float64(l.Len())
-		if size == 0 {
-			return
-		}
+		size := float64(n)
 		tlds = append(tlds, float64(len(validTLD)))
 		invT = append(invT, float64(len(invalidTLD)))
 		invN = append(invN, float64(invalidNames))

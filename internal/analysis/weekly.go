@@ -13,9 +13,9 @@ import (
 // domain present only on weekends has fully disjoint weekday/weekend
 // rank distributions — KS distance 1, the paper's Fig. 3a signature.
 type rankMatrix struct {
-	days  int
-	size  int
-	ranks map[uint32][]int32
+	days   int
+	size   int
+	series [][]int32 // one per domain, in ascending ID order
 }
 
 // buildRankMatrix collects rank series for every domain ever present in
@@ -25,11 +25,10 @@ type rankMatrix struct {
 // list size) and trims to the exact cap afterwards.
 func (c *Context) buildRankMatrix(provider string, top, maxDomains int) *rankMatrix {
 	days := c.Arch.Days()
-	m := &rankMatrix{days: days, ranks: make(map[uint32][]int32)}
+	m := &rankMatrix{days: days}
+	ranks := make(map[uint32][]int32)
 	admitThreshold := uint32(0xFFFFFFFF)
-	first := c.subset(provider, c.Arch.First(), top)
-	if maxDomains > 0 && first != nil {
-		size := first.Len()
+	if _, size := c.ids(provider, c.Arch.First(), top); maxDomains > 0 && size > 0 {
 		// The ever-seen union is typically a small multiple of the list
 		// size; admit with probability maxDomains/size capped at 1 and
 		// floored so small subsets keep everything.
@@ -47,98 +46,88 @@ func (c *Context) buildRankMatrix(provider string, top, maxDomains int) *rankMat
 	}
 	day := 0
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		l := c.subset(provider, d, top)
-		if l == nil {
-			day++
-			return
-		}
+		ids, n := c.ids(provider, d, top)
 		if m.size == 0 {
-			m.size = l.Len()
+			m.size = n
 		}
-		for rank, id := range c.worldIDs(l) {
+		for rank, id := range ids {
 			if !admit(id) {
 				continue
 			}
-			s, ok := m.ranks[id]
+			s, ok := ranks[id]
 			if !ok {
 				s = make([]int32, days)
 				sentinel := int32(2 * m.size)
 				for i := range s {
 					s[i] = sentinel
 				}
-				m.ranks[id] = s
+				ranks[id] = s
 			}
 			s[day] = int32(rank + 1)
 		}
 		day++
 	})
-	if maxDomains > 0 && len(m.ranks) > maxDomains {
-		ids := make([]uint32, 0, len(m.ranks))
-		for id := range m.ranks {
-			ids = append(ids, id)
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		keep := make(map[uint32][]int32, maxDomains)
+	ids := make([]uint32, 0, len(ranks))
+	for id := range ranks {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	if maxDomains > 0 && len(ids) > maxDomains {
+		keep := make([]uint32, maxDomains)
 		step := float64(len(ids)) / float64(maxDomains)
-		for i := 0; i < maxDomains; i++ {
-			id := ids[int(float64(i)*step)]
-			keep[id] = m.ranks[id]
+		for i := range keep {
+			keep[i] = ids[int(float64(i)*step)]
 		}
-		m.ranks = keep
+		ids = keep
+	}
+	m.series = make([][]int32, len(ids))
+	for i, id := range ids {
+		m.series[i] = ranks[id]
 	}
 	return m
 }
 
-// KSWeekendDistances computes Fig. 3a: for each domain, the two-sample
-// KS distance between its weekday and weekend rank distributions,
-// using only the days the domain is actually ranked (the paper compares
-// distributions of rank positions). With baseline true it instead
-// splits the weekday samples into two alternating halves — the paper's
-// weekday-vs-weekday reference, which should be near zero.
-func (c *Context) KSWeekendDistances(provider string, top, maxDomains int, baseline bool) []float64 {
+// KSWeekendDistances computes Fig. 3a from one rank matrix: for each
+// domain, the two-sample KS distance between its weekday and weekend
+// rank distributions, using only the days the domain is actually
+// ranked (the paper compares distributions of rank positions). The
+// baseline series instead splits each domain's weekday samples into two
+// alternating halves — the paper's weekday-vs-weekday reference, which
+// should be near zero. Both series run over domains in ascending ID
+// order, each skipping domains with fewer than four samples a side.
+func (c *Context) KSWeekendDistances(provider string, top, maxDomains int) (weekend, baseline []float64) {
 	m := c.buildRankMatrix(provider, top, maxDomains)
-	weekend := make([]bool, m.days)
+	isWeekend := make([]bool, m.days)
 	for d := 0; d < m.days; d++ {
-		weekend[d] = toplist.Day(d).IsWeekend()
+		isWeekend[d] = toplist.Day(d).IsWeekend()
 	}
 	sentinel := int32(2 * m.size)
-	var out []float64
-	for _, series := range m.ranks {
-		var a, b []float64
-		if baseline {
-			k := 0
-			for d, r := range series {
-				if weekend[d] || r == sentinel {
-					continue
-				}
-				if k%2 == 0 {
-					a = append(a, float64(r))
-				} else {
-					b = append(b, float64(r))
-				}
-				k++
-			}
-		} else {
-			for d, r := range series {
-				if r == sentinel {
-					continue
-				}
-				if weekend[d] {
-					b = append(b, float64(r))
-				} else {
-					a = append(a, float64(r))
-				}
-			}
-		}
+	appendKS := func(out []float64, a, b []float64) []float64 {
 		if len(a) < 4 || len(b) < 4 {
-			continue
+			return out
 		}
-		d := stats.KSDistance(a, b)
-		if !math.IsNaN(d) {
+		if d := stats.KSDistance(a, b); !math.IsNaN(d) {
 			out = append(out, d)
 		}
+		return out
 	}
-	return out
+	for _, series := range m.series {
+		var wd, we []float64
+		var halves [2][]float64
+		for d, r := range series {
+			switch {
+			case r == sentinel:
+			case isWeekend[d]:
+				we = append(we, float64(r))
+			default:
+				halves[len(wd)%2] = append(halves[len(wd)%2], float64(r))
+				wd = append(wd, float64(r))
+			}
+		}
+		weekend = appendKS(weekend, wd, we)
+		baseline = appendKS(baseline, halves[0], halves[1])
+	}
+	return weekend, baseline
 }
 
 // SLDGroupDynamic describes one Fig. 3b/3c group: an SLD whose daily
@@ -166,7 +155,8 @@ func (c *Context) SLDDynamics(provider string, swingPC, minCount float64, fromDa
 	counts := make(map[string][]float64)
 	day := 0
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		for _, id := range c.worldIDs(c.subset(provider, d, 0)) {
+		ids, _ := c.ids(provider, d, 0)
+		for _, id := range ids {
 			g := c.info[id].sldGroup
 			if g == "" {
 				continue

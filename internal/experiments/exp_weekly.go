@@ -28,8 +28,7 @@ func runFig3a(e *Env) (*Result, error) {
 	}
 	for _, top := range []int{0, st.Scale.HeadSize} {
 		for _, p := range st.Providers() {
-			ds := st.Analysis.KSWeekendDistances(p, top, ksSample, false)
-			base := st.Analysis.KSWeekendDistances(p, top, ksSample, true)
+			ds, base := st.Analysis.KSWeekendDistances(p, top, ksSample)
 			ones, small := 0, 0
 			for _, v := range ds {
 				if v == 1 {

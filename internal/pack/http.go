@@ -557,7 +557,7 @@ func OpenURL(ctx context.Context, url string, opts ...Option) (*Pack, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := Open(ra, ra.Size(), opts...)
+	p, err := Open(ra, ra.Size())
 	if err != nil {
 		return nil, fmt.Errorf("pack: open %s: %w", url, err)
 	}

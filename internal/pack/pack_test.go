@@ -343,11 +343,12 @@ func readAll(resp *http.Response) ([]byte, error) {
 // the concurrency gate for the LRU.
 func TestPackConcurrentReaders(t *testing.T) {
 	store := seedStore(t, t.TempDir())
-	p, err := OpenFile(packStore(t, store), WithDecodeCache(2))
+	p, err := OpenFile(packStore(t, store))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close()
+	p.capacity = 2
 	providers := p.Providers()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {

@@ -66,34 +66,27 @@ var (
 	_ toplist.RawSource = (*Pack)(nil)
 )
 
-// options collects the knobs shared by Open, OpenFile, and OpenURL;
-// the HTTP-specific ones are consumed by NewHTTPRangeReaderAt.
+// decodeCacheSize bounds the decoded-snapshot LRU, in lists. The
+// analyses resolve each slot to IDs once per study and keep that
+// column themselves, so this cache serves point reads and the
+// name-reading analyses.
+const decodeCacheSize = 64
+
+// options collects the knobs of OpenURL, all consumed by
+// NewHTTPRangeReaderAt.
 type options struct {
-	decodeCache int
-	http        httpOptions
+	http httpOptions
 }
 
-// Option configures Open, OpenFile, and OpenURL.
+// Option configures OpenURL and NewHTTPRangeReaderAt.
 type Option func(*options)
 
 func buildOptions(opts []Option) options {
-	o := options{decodeCache: 64, http: defaultHTTPOptions()}
+	o := options{http: defaultHTTPOptions()}
 	for _, fn := range opts {
 		fn(&o)
 	}
 	return o
-}
-
-// WithDecodeCache bounds the decoded-snapshot LRU to n lists (default
-// 64). Analyses sweep day ranges per provider, so the default covers a
-// test-scale JOINT window; shrink it when lists are huge, grow it to
-// pin a whole archive's decoded form in memory.
-func WithDecodeCache(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.decodeCache = n
-		}
-	}
 }
 
 // Open reads the packed archive available through r (size bytes long)
@@ -107,8 +100,7 @@ func WithDecodeCache(n int) Option {
 //
 // The caller keeps ownership of r; OpenFile and OpenURL wrap Open with
 // backends the returned Pack owns (Close releases them).
-func Open(r io.ReaderAt, size int64, opts ...Option) (*Pack, error) {
-	o := buildOptions(opts)
+func Open(r io.ReaderAt, size int64) (*Pack, error) {
 	if size < headerSize+footerSize {
 		return nil, fmt.Errorf("%w: %d bytes is smaller than header+footer", ErrNotPack, size)
 	}
@@ -149,7 +141,7 @@ func Open(r io.ReaderAt, size int64, opts ...Option) (*Pack, error) {
 		slots:     make(map[slotKey]record, len(dir.Snapshots)),
 		cache:     make(map[slotKey]*cacheEntry),
 		order:     list.New(),
-		capacity:  o.decodeCache,
+		capacity:  decodeCacheSize,
 		corrupt:   make(map[slotKey]bool),
 	}
 	known := make(map[string]bool, len(dir.Providers))
@@ -188,7 +180,7 @@ func Open(r io.ReaderAt, size int64, opts ...Option) (*Pack, error) {
 }
 
 // OpenFile opens the packed archive at path. Close releases the file.
-func OpenFile(path string, opts ...Option) (*Pack, error) {
+func OpenFile(path string) (*Pack, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
@@ -198,7 +190,7 @@ func OpenFile(path string, opts ...Option) (*Pack, error) {
 		f.Close()
 		return nil, err
 	}
-	p, err := Open(f, st.Size(), opts...)
+	p, err := Open(f, st.Size())
 	if err != nil {
 		f.Close()
 		return nil, fmt.Errorf("pack: open %s: %w", path, err)

@@ -86,3 +86,58 @@ func TestPackedAnalysisIsByteIdenticalToDiskStore(t *testing.T) {
 			diskRes.Render(), remoteRes.Render())
 	}
 }
+
+// TestIDAnalysesAreByteIdenticalAcrossBackends renders every experiment
+// that reads the analyses' ID columns from three Labs over one
+// archive: the in-memory one, whose lists carry world IDs, and a
+// DiskStore and a pack, whose lists are names only. Every render must
+// be byte-identical across the three.
+func TestIDAnalysesAreByteIdenticalAcrossBackends(t *testing.T) {
+	scale := smallScale()
+	dir := filepath.Join(t.TempDir(), "joint")
+	packPath := filepath.Join(t.TempDir(), "joint.pack")
+	ctx := context.Background()
+
+	mem := NewLab(WithScale(scale), WithArchiveDir(dir))
+	if _, err := mem.Study(); err != nil {
+		t.Fatal(err)
+	}
+	store, err := OpenArchive(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := WritePack(packPath, store); err != nil {
+		t.Fatal(err)
+	}
+	packed, err := OpenPack(packPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer packed.Close()
+	backends := []struct {
+		name string
+		lab  *Lab
+	}{
+		{"disk", NewLab(WithScale(scale), WithSource(store))},
+		{"pack", NewLab(WithScale(scale), WithSource(packed))},
+	}
+
+	ids := []string{"table2", "table3", "fig1a", "fig1b", "fig1c", "fig2a", "fig2b",
+		"fig2c", "fig3a", "fig3b", "fig3c", "fig4", "similarity"}
+	for _, id := range ids {
+		want, err := mem.Run(ctx, id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, b := range backends {
+			got, err := b.lab.Run(ctx, id)
+			if err != nil {
+				t.Fatalf("%s from %s: %v", id, b.name, err)
+			}
+			if got.Render() != want.Render() {
+				t.Errorf("%s renders differently from %s:\n--- in memory ---\n%s\n--- %s ---\n%s",
+					id, b.name, want.Render(), b.name, got.Render())
+			}
+		}
+	}
+}

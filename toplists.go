@@ -312,8 +312,8 @@ func BootstrapArchive(ctx context.Context, dir string, peers *PeerSet) (*DiskSto
 // ArchiveHandler serve from it unchanged and byte-identically.
 type Pack = pack.Pack
 
-// PackOption configures pack readers (decode cache size, HTTP client,
-// retry and chunking knobs for the Range backend).
+// PackOption configures OpenPackURL (HTTP client, retry and chunking
+// knobs for the Range backend).
 type PackOption = pack.Option
 
 // WritePack packs the archive src into a single file at path: gzip
@@ -328,9 +328,7 @@ func WritePack(path string, src Source) error { return pack.Write(path, src) }
 // directory is read eagerly (and checked against its hash); snapshots
 // are read lazily and every blob is verified against its directory
 // hash before it is served.
-func OpenPack(path string, opts ...PackOption) (*Pack, error) {
-	return pack.OpenFile(path, opts...)
-}
+func OpenPack(path string) (*Pack, error) { return pack.OpenFile(path) }
 
 // OpenPackURL opens a packed archive served by any static file server
 // at url, reading it through HTTP Range requests — no archive-aware
