@@ -28,10 +28,15 @@ type Context struct {
 	W    *population.World
 	Arch toplist.Source
 
-	// Per world-record parse cache.
+	// Per world-record parse results. Names are parsed once, here, and
+	// their TLDs, base domains and SLD groups interned to dense keys.
 	info []nameInfo
-	// base-domain string -> compact key, shared across providers.
-	baseKeys map[string]uint32
+	tlds int // number of TLD keys
+	// groupOf maps a base key to its SLD group key (noGroup for none):
+	// the group is a function of the base domain. groups names the
+	// group keys.
+	groupOf []uint32
+	groups  []string
 
 	mu      sync.Mutex
 	columns map[slot][]uint32 // never mutated once stored
@@ -46,10 +51,12 @@ type slot struct {
 // synthetic ID, or a name the world does not know.
 const noID = ^uint32(0)
 
+// noGroup is the group key of a base domain with no SLD group.
+const noGroup = ^uint32(0)
+
 type nameInfo struct {
-	tld      string
-	sldGroup string
-	baseKey  uint32
+	baseKey  uint32 // shared across providers
+	tldKey   uint32
 	depth    uint8
 	validTLD bool
 }
@@ -57,40 +64,54 @@ type nameInfo struct {
 // NewContext builds the cache for the world underlying arch.
 func NewContext(w *population.World, arch toplist.Source) *Context {
 	c := &Context{
-		W:        w,
-		Arch:     arch,
-		info:     make([]nameInfo, w.Len()),
-		baseKeys: make(map[string]uint32),
-		columns:  make(map[slot][]uint32),
+		W:       w,
+		Arch:    arch,
+		info:    make([]nameInfo, w.Len()),
+		columns: make(map[slot][]uint32),
 	}
+	tldKeys := make(map[string]uint32)
+	baseKeys := make(map[string]uint32)
+	groupKeys := make(map[string]uint32)
 	for i := range w.Domains {
-		d := &w.Domains[i]
-		n, err := domainname.Parse(d.Name)
-		if err != nil {
-			continue
-		}
+		// population.Build rejects unparseable names; one would key as
+		// the empty name.
+		n, _ := domainname.Parse(w.Domains[i].Name)
 		base := n.Base
 		if base == "" {
 			base = n.FQDN
 		}
+		baseKey, isNew := intern(baseKeys, base)
+		if isNew {
+			g := noGroup
+			if name := n.Group(); name != "" {
+				g, _ = intern(groupKeys, name)
+			}
+			c.groupOf = append(c.groupOf, g)
+		}
+		tldKey, _ := intern(tldKeys, n.TLD)
 		c.info[i] = nameInfo{
-			tld:      n.TLD,
-			sldGroup: domainname.SLDGroup(d.Name),
-			baseKey:  c.baseKey(base),
+			baseKey:  baseKey,
+			tldKey:   tldKey,
 			depth:    uint8(n.Depth),
 			validTLD: n.ValidTLD,
 		}
 	}
+	c.tlds = len(tldKeys)
+	c.groups = make([]string, len(groupKeys))
+	for name, k := range groupKeys {
+		c.groups[k] = name
+	}
 	return c
 }
 
-func (c *Context) baseKey(base string) uint32 {
-	if k, ok := c.baseKeys[base]; ok {
-		return k
+// intern returns the dense key of s in keys, adding s if it is new.
+func intern(keys map[string]uint32, s string) (key uint32, isNew bool) {
+	if k, ok := keys[s]; ok {
+		return k, false
 	}
-	k := uint32(len(c.baseKeys))
-	c.baseKeys[base] = k
-	return k
+	k := uint32(len(keys))
+	keys[s] = k
+	return k, true
 }
 
 // worldIDs resolves l to one world ID per rank, noID where the entry

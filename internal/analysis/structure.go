@@ -26,43 +26,68 @@ type Table2Row struct {
 
 // Table2 computes the row for provider at the given subset size
 // (0 = full list).
+//
+// Distinct keys are counted with stamp arrays: a key's stamp is the
+// 1-based index of the last present day that saw it, so no per-day set
+// is built or cleared. The arrays are allocated per call, so concurrent
+// callers do not share them.
 func (c *Context) Table2(provider string, top int) Table2Row {
 	row := Table2Row{Provider: provider, Top: top}
 	var tlds, bds, dups, invT, invN []float64
-
-	prevSet := stats.IDSet(nil)
-	union := make(map[uint32]struct{})
 	var deltas, news []float64
+
+	tldSeen := make([]int32, c.tlds)
+	baseSeen := make([]int32, len(c.groupOf))
+	groups := make([]struct{ seen, bases int32 }, len(c.groups))
+	// seen is an ID's last present day, first its first one.
+	ids := make([]struct{ seen, first int32 }, c.W.Len())
+	prevDistinct := 0
 	day := 0
 
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		ids, n := c.ids(provider, d, top)
-		if n == 0 {
+		col := cut(c.column(provider, d), top)
+		if len(col) == 0 {
 			return
 		}
-
-		validTLD := make(map[string]struct{})
-		invalidTLD := make(map[string]struct{})
-		baseSet := make(map[uint32]struct{})
-		sldBases := make(map[string]map[uint32]struct{})
+		stamp := int32(day + 1)
+		var validTLDs, invalidTLDs, invalidNames, bases, dup int
+		var distinct, kept, newCount int
 		var d1, d2, d3 float64
-		invalidNames := 0
-		for _, id := range ids {
+		for _, id := range col {
+			if id == noID {
+				continue
+			}
 			in := &c.info[id]
-			if in.validTLD {
-				validTLD[in.tld] = struct{}{}
-			} else {
-				invalidTLD[in.tld] = struct{}{}
+			if !in.validTLD {
 				invalidNames++
 			}
-			baseSet[in.baseKey] = struct{}{}
-			if in.sldGroup != "" {
-				m := sldBases[in.sldGroup]
-				if m == nil {
-					m = make(map[uint32]struct{})
-					sldBases[in.sldGroup] = m
+			if tldSeen[in.tldKey] != stamp {
+				tldSeen[in.tldKey] = stamp
+				if in.validTLD {
+					validTLDs++
+				} else {
+					invalidTLDs++
 				}
-				m[in.baseKey] = struct{}{}
+			}
+			if baseSeen[in.baseKey] != stamp {
+				baseSeen[in.baseKey] = stamp
+				bases++
+				// DUP_SLD counts every base of a group that has more
+				// than one.
+				if g := c.groupOf[in.baseKey]; g != noGroup {
+					gs := &groups[g]
+					if gs.seen != stamp {
+						gs.seen, gs.bases = stamp, 0
+					}
+					gs.bases++
+					switch gs.bases {
+					case 1:
+					case 2:
+						dup += 2
+					default:
+						dup++
+					}
+				}
 			}
 			switch in.depth {
 			case 0:
@@ -76,40 +101,40 @@ func (c *Context) Table2(provider string, top int) Table2Row {
 			if int(in.depth) > row.SDM {
 				row.SDM = int(in.depth)
 			}
+			// µ∆ compares the day's distinct IDs with the previous
+			// present day's; µNEW counts every occurrence of an ID that
+			// no earlier day had.
+			is := &ids[id]
+			if is.seen != stamp {
+				if is.seen == stamp-1 {
+					kept++
+				}
+				is.seen = stamp
+				distinct++
+			}
+			if is.first == 0 {
+				is.first = stamp
+			}
+			if is.first == stamp {
+				newCount++
+			}
 		}
-		size := float64(n)
-		tlds = append(tlds, float64(len(validTLD)))
-		invT = append(invT, float64(len(invalidTLD)))
+		size := float64(len(col))
+		tlds = append(tlds, float64(validTLDs))
+		invT = append(invT, float64(invalidTLDs))
 		invN = append(invN, float64(invalidNames))
-		bds = append(bds, float64(len(baseSet)))
+		bds = append(bds, float64(bases))
 		row.SD1 += d1 / size
 		row.SD2 += d2 / size
 		row.SD3 += d3 / size
-		dup := 0
-		for _, bases := range sldBases {
-			if len(bases) > 1 {
-				dup += len(bases)
-			}
-		}
 		dups = append(dups, float64(dup))
-
-		cur := stats.NewIDSet(ids)
-		if prevSet != nil {
-			deltas = append(deltas, float64(prevSet.RemovedCount(cur)))
+		if day > 0 {
+			deltas = append(deltas, float64(prevDistinct-kept))
 		}
 		if day >= 8 { // skip the startup transient for first-appearances
-			newCount := 0
-			for _, id := range ids {
-				if _, seen := union[id]; !seen {
-					newCount++
-				}
-			}
 			news = append(news, float64(newCount))
 		}
-		for _, id := range ids {
-			union[id] = struct{}{}
-		}
-		prevSet = cur
+		prevDistinct = distinct
 		day++
 	})
 

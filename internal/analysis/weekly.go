@@ -152,26 +152,27 @@ func (c *Context) SLDDynamics(provider string, swingPC, minCount float64, fromDa
 	if toDay <= fromDay {
 		fromDay, toDay = 0, days
 	}
-	counts := make(map[string][]float64)
+	counts := make([][]float64, len(c.groups)) // by group key
 	day := 0
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
 		ids, _ := c.ids(provider, d, 0)
 		for _, id := range ids {
-			g := c.info[id].sldGroup
-			if g == "" {
+			g := c.groupOf[c.info[id].baseKey]
+			if g == noGroup {
 				continue
 			}
-			s, ok := counts[g]
-			if !ok {
-				s = make([]float64, days)
-				counts[g] = s
+			if counts[g] == nil {
+				counts[g] = make([]float64, days)
 			}
-			s[day]++
+			counts[g][day]++
 		}
 		day++
 	})
 	var out []SLDGroupDynamic
 	for g, series := range counts {
+		if series == nil {
+			continue
+		}
 		var wd, we []float64
 		for d, v := range series {
 			if d < fromDay || d >= toDay {
@@ -192,7 +193,7 @@ func (c *Context) SLDDynamics(provider string, swingPC, minCount float64, fromDa
 			continue
 		}
 		out = append(out, SLDGroupDynamic{
-			Group:        g,
+			Group:        c.groups[g],
 			WeekdayMean:  wdm,
 			WeekendMean:  wem,
 			SwingPercent: swing,

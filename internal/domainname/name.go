@@ -57,14 +57,24 @@ func Parse(s string) (Name, error) {
 	}
 	out := Name{FQDN: n, Labels: labels, TLD: labels[len(labels)-1]}
 	out.ValidTLD = IsValidTLD(out.TLD)
-	suffixLabels := publicSuffixLabels(labels)
-	out.PublicSuffix = strings.Join(labels[len(labels)-suffixLabels:], ".")
-	if len(labels) > suffixLabels {
-		out.Base = strings.Join(labels[len(labels)-suffixLabels-1:], ".")
-		out.SLD = labels[len(labels)-suffixLabels-1]
-		out.Depth = len(labels) - suffixLabels - 1
+	first := len(labels) - publicSuffixLabels(n, labels)
+	out.PublicSuffix = suffix(n, labels, first)
+	if first > 0 {
+		out.Base = suffix(n, labels, first-1)
+		out.SLD = labels[first-1]
+		out.Depth = first - 1
 	}
 	return out, nil
+}
+
+// suffix returns the name formed by labels[i:] as a substring of name,
+// the dot-joined labels.
+func suffix(name string, labels []string, i int) string {
+	off := len(name) + 1
+	for _, l := range labels[i:] {
+		off -= len(l) + 1
+	}
+	return name[off:]
 }
 
 // MustParse is Parse for known-good inputs; it panics on error.
@@ -122,17 +132,25 @@ func DepthOf(s string) int {
 	return n.Depth
 }
 
-// SLDGroup returns the paper's §6.2 grouping key for a name: the label
-// left of the public suffix, with all blogspot.* variants collapsed into
-// the single group "blogspot" (the paper groups blogspot country domains
-// together). Empty for public suffixes and unparseable names.
-func SLDGroup(s string) string {
-	n, err := Parse(s)
-	if err != nil {
+// Group returns the paper's §6.2 grouping key for n: the label left of
+// the public suffix, with all blogspot.* variants collapsed into the
+// single group "blogspot" (the paper groups blogspot country domains
+// together). Empty when n is itself a public suffix.
+func (n Name) Group() string {
+	if n.Base == "" {
 		return ""
 	}
 	if n.SLD == "blogspot" || strings.HasPrefix(n.PublicSuffix, "blogspot.") {
 		return "blogspot"
 	}
 	return n.SLD
+}
+
+// SLDGroup returns the Group of s, or "" if s is unparseable.
+func SLDGroup(s string) string {
+	n, err := Parse(s)
+	if err != nil {
+		return ""
+	}
+	return n.Group()
 }

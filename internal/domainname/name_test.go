@@ -118,6 +118,10 @@ func TestSLDGroup(t *testing.T) {
 		{"nessus.org", "nessus"},
 		{"cdn.ampproject.org", "ampproject"},
 		{"com", ""},
+		// A name that is itself a public suffix has no SLD group, even
+		// when that suffix is a blogspot variant.
+		{"blogspot.com", ""},
+		{"blogspot.co.uk", ""},
 	} {
 		if got := SLDGroup(tc.in); got != tc.want {
 			t.Fatalf("SLDGroup(%q) = %q, want %q", tc.in, got, tc.want)
@@ -209,6 +213,24 @@ func TestBaseIsSuffixProperty(t *testing.T) {
 		}
 		if !strings.HasSuffix(n.Base, n.PublicSuffix) {
 			t.Fatalf("%q: base %q not suffixed by suffix %q", s, n.Base, n.PublicSuffix)
+		}
+	}
+}
+
+// parsed keeps Parse results alive in TestParseAllocatesOnce.
+var parsed Name
+
+// TestParseAllocatesOnce: parsing an already-normalised name allocates
+// only its Labels slice; the suffix walk, PublicSuffix and Base are
+// substrings of the input.
+func TestParseAllocatesOnce(t *testing.T) {
+	for _, s := range []string{
+		"example.com", "www.net.in.tum.de", "a.b.blogspot.co.uk",
+		"x.y.whatever.ck", "foo.www.ck", "printer.localdomain",
+	} {
+		allocs := testing.AllocsPerRun(100, func() { parsed = MustParse(s) })
+		if allocs != 1 {
+			t.Errorf("Parse(%q) allocates %.1f times, want 1", s, allocs)
 		}
 	}
 }

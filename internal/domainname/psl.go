@@ -46,50 +46,55 @@ var pslRules = []string{
 	"wordpress.com", "weebly.com", "wixsite.com",
 }
 
-var (
-	pslExact    map[string]bool
-	pslWildcard map[string]bool // parent of "*." rules
-	pslExcept   map[string]bool // names from "!" rules
+// pslRule flags the kinds of rule the embedded PSL has for a name, so
+// the suffix walk hashes each candidate once.
+type pslRule uint8
+
+const (
+	ruleExact    pslRule = 1 << iota
+	ruleWildcard         // "*.name": every child of name is a suffix
+	ruleExcept           // "!name": name is registrable despite a wildcard
 )
 
+var psl map[string]pslRule
+
 func init() {
-	pslExact = make(map[string]bool, len(pslRules))
-	pslWildcard = make(map[string]bool)
-	pslExcept = make(map[string]bool)
+	psl = make(map[string]pslRule, len(pslRules))
 	for _, r := range pslRules {
 		switch {
 		case strings.HasPrefix(r, "*."):
-			pslWildcard[r[2:]] = true
+			psl[r[2:]] |= ruleWildcard
 		case strings.HasPrefix(r, "!"):
-			pslExcept[r[1:]] = true
+			psl[r[1:]] |= ruleExcept
 		default:
-			pslExact[r] = true
+			psl[r] |= ruleExact
 		}
 	}
 }
 
-// publicSuffixLabels returns how many trailing labels of labels form the
-// public suffix under the embedded PSL. Per the PSL algorithm, a name
-// with no matching rule has a one-label public suffix (its TLD).
-func publicSuffixLabels(labels []string) int {
+// publicSuffixLabels returns how many trailing labels of name, split
+// into labels, form the public suffix under the embedded PSL. Per the
+// PSL algorithm, a name with no matching rule has a one-label public
+// suffix (its TLD). Candidates are substrings of name, so the walk does
+// not allocate.
+func publicSuffixLabels(name string, labels []string) int {
 	best := 1
-	for i := 0; i < len(labels); i++ {
-		candidate := strings.Join(labels[i:], ".")
+	off := 0
+	for i, l := range labels {
+		rule := psl[name[off:]]
+		off += len(l) + 1
 		n := len(labels) - i
-		if pslExcept[candidate] {
+		if rule&ruleExcept != 0 {
 			// An exception rule makes the matched name registrable: its
 			// public suffix is one label shorter.
 			return n - 1
 		}
-		if pslExact[candidate] && n > best {
+		if rule&ruleExact != 0 && n > best {
 			best = n
 		}
-		if i > 0 {
-			parent := strings.Join(labels[i:], ".")
-			if pslWildcard[parent] && n+1 > best && i >= 1 {
-				// "*.parent" matched by labels[i-1:].
-				best = n + 1
-			}
+		if i > 0 && rule&ruleWildcard != 0 && n+1 > best {
+			// "*.candidate" matched by labels[i-1:].
+			best = n + 1
 		}
 	}
 	if best > len(labels) {

@@ -89,8 +89,15 @@ func (s *Server) CertPool() *x509.CertPool {
 	return pool
 }
 
-// Close stops the listener.
-func (s *Server) Close() error { return s.http.Close() }
+// Close stops the listener. It closes the listener itself as well: a
+// Close that runs before the serving goroutine has registered the
+// listener with http.Server would otherwise leave it accepting until
+// that goroutine starts.
+func (s *Server) Close() error {
+	err := s.http.Close()
+	s.ln.Close() //nolint:errcheck // already closed when http.Server tracked it
+	return err
+}
 
 // configFor implements per-domain TLS behaviour: no certificate for
 // unreachable or TLS-less domains (the handshake fails, as a closed
