@@ -2,9 +2,8 @@
 // end over real HTTP: it publishes a simulated archive through the
 // listserv server the way providers publish daily CSVs (zip-wrapped,
 // with ETags), then drives a Mirror client that downloads every
-// provider's snapshot day by day — with retries, conditional requests,
-// and gap accounting — and verifies the rebuilt archive matches the
-// original byte for byte.
+// provider's snapshot day by day — with retries and gap accounting —
+// and verifies the rebuilt archive matches the original byte for byte.
 package main
 
 import (
@@ -52,8 +51,8 @@ func main() {
 	defer cancel()
 
 	// Follow the live publisher: advance one day, collect the archive
-	// so far (already-seen days are revalidated via ETag, costing only
-	// 304s).
+	// so far (already-collected days are kept, so each tick downloads
+	// only the new day).
 	for d := source.First(); d <= source.Last(); d++ {
 		gate.Advance(d)
 		if _, err := mirror.Collect(ctx, source.First(), d); err != nil {

@@ -44,13 +44,13 @@ package archived
 import (
 	"bytes"
 	"compress/gzip"
-	"container/list"
+	"context"
 	"encoding/json"
 	"errors"
 	"net/http"
-	"sync"
 	"time"
 
+	"repro/internal/cache"
 	servecore "repro/internal/serve"
 	"repro/internal/toplist"
 )
@@ -81,11 +81,11 @@ type slotLister interface {
 // Snapshot documents are cached per (provider, day) in a bounded LRU
 // (WithBlobCache) holding the compressed bytes actually sent on the
 // wire. On the raw fast path those are the source's stored bytes,
-// keyed by the content hash the store persisted at Put time: a cache
+// validated by the content hash the store persisted at Put time: a cache
 // hit is valid exactly as long as the store reports the same hash, so
 // a DiskStore Put repairing a slot (new hash) misses and re-reads
 // instead of serving stale bytes. On the encode fallback they are the
-// re-encoded document, keyed by the *toplist.List pointer it encoded —
+// re-encoded document, validated by the *toplist.List pointer it encoded —
 // lists are immutable, so the same reasoning applies with pointer
 // identity in place of the hash. Either way a long-running daemon
 // serving a large archive holds at most the cache bound, not every
@@ -96,10 +96,7 @@ type Server struct {
 
 	noRaw bool // WithoutRawFastPath
 
-	mu       sync.Mutex
-	blobs    map[blobKey]*blobEntry
-	order    *list.List // LRU: front = most recent; values are blobKey
-	capacity int
+	blobs *cache.LRU[blobKey, *blob]
 }
 
 // view resolves the source this request is served from — a stable
@@ -122,22 +119,10 @@ type blobKey struct {
 	day      toplist.Day
 }
 
-// blobEntry is one snapshot's blob slot. The first request for a
-// (provider, day) installs the entry and fills it outside the lock —
-// a raw store read on the fast path, a WriteCSV+gzip pass on the
-// fallback; concurrent requests for the same snapshot wait on ready
-// instead of each re-running the fill — the server-side analog of
-// DiskStore.Get's single-flight decode. Exactly one of list/hash is
-// set, identifying which path filled the entry and what validates a
-// hit (see Server).
-type blobEntry struct {
-	list  *toplist.List // encode path: the list these bytes encode
-	hash  string        // raw path: the persisted content hash of these bytes
-	ready chan struct{} // closed once data/etag (or err) are final
-	data  []byte
-	etag  string
-	err   error
-	elem  *list.Element
+// blob is one snapshot document as sent on the wire.
+type blob struct {
+	data []byte
+	etag string
 }
 
 // Option configures a Server.
@@ -152,7 +137,7 @@ type Option func(*Server)
 func WithBlobCache(n int) Option {
 	return func(s *Server) {
 		if n > 0 {
-			s.capacity = n
+			s.blobs = cache.New[blobKey, *blob](n)
 		}
 	}
 }
@@ -181,10 +166,8 @@ func WithMux(mux *http.ServeMux) Option {
 // path automatically.
 func NewServer(src toplist.Source, opts ...Option) *Server {
 	s := &Server{
-		src:      src,
-		blobs:    make(map[blobKey]*blobEntry),
-		order:    list.New(),
-		capacity: 256,
+		src:   src,
+		blobs: cache.New[blobKey, *blob](256),
 	}
 	for _, o := range opts {
 		o(s)
@@ -361,7 +344,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // content-hash ETag answers If-None-Match with 304, and because the
 // hash is persisted in the store manifest, the ETag is stable across
 // server restarts.
-func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, day toplist.Day, b *blobEntry) {
+func (s *Server) serveBlob(w http.ResponseWriter, r *http.Request, day toplist.Day, b *blob) {
 	w.Header().Set("Content-Type", "text/csv; charset=utf-8")
 	w.Header().Set("Content-Encoding", "gzip")
 	w.Header().Set("ETag", b.etag)
@@ -387,104 +370,41 @@ var errRawRaced = errors.New("archived: raw read raced a store write")
 
 // rawBlobFor returns the stored document for (provider, day), reusing
 // the cached copy while the store still reports the same persisted
-// hash (a repairing Put changes the hash, so a stale blob misses and
-// the slot is re-read). Fills are single-flight like encodes; a raw
-// read error — including the store refusing a corrupt slot — is not
-// memoized here (the store memoizes its own verdicts, so re-probes are
-// cheap and a repair is picked up immediately).
-func (s *Server) rawBlobFor(rs toplist.RawSource, provider string, day toplist.Day, hash string) (*blobEntry, error) {
-	key := blobKey{provider, day}
-	s.mu.Lock()
-	if e, ok := s.blobs[key]; ok && e.hash == hash {
-		s.order.MoveToFront(e.elem)
-		s.mu.Unlock()
-		<-e.ready
-		return e, e.err
-	}
-	e := s.installLocked(key, &blobEntry{hash: hash, ready: make(chan struct{})})
-	s.mu.Unlock()
-
-	raw, err := rs.GetRaw(provider, day)
-	if err == nil && raw == nil {
-		err = errRawRaced
-	}
-	if err != nil {
-		e.err = err
-		s.dropEntry(key, e)
-		close(e.ready)
-		return nil, err
-	}
-	e.data, e.etag = raw.Data, `"`+raw.Hash+`"`
-	close(e.ready)
-	return e, nil
+// hash — the entry's validator, so a repairing Put (new hash) misses
+// and the slot is re-read. A raw read error — including the store
+// refusing a corrupt slot — is not memoized here (the store memoizes
+// its own verdicts, so re-probes are cheap and a repair is picked up
+// immediately).
+func (s *Server) rawBlobFor(rs toplist.RawSource, provider string, day toplist.Day, hash string) (*blob, error) {
+	return s.blobs.Do(context.TODO(), blobKey{provider, day}, hash, func() (*blob, error) {
+		raw, err := rs.GetRaw(provider, day)
+		if err == nil && raw == nil {
+			err = errRawRaced
+		}
+		if err != nil {
+			return nil, err
+		}
+		return &blob{data: raw.Data, etag: `"` + raw.Hash + `"`}, nil
+	})
 }
 
 // blobFor returns the encoded document for l, reusing the cached
-// encoding when the source still returns the same immutable list.
-// Encodes are single-flight: concurrent cold requests for one snapshot
-// share a single WriteCSV+gzip pass.
-func (s *Server) blobFor(provider string, day toplist.Day, l *toplist.List) (*blobEntry, error) {
-	key := blobKey{provider, day}
-	s.mu.Lock()
-	if e, ok := s.blobs[key]; ok && e.list == l {
-		s.order.MoveToFront(e.elem)
-		s.mu.Unlock()
-		<-e.ready
-		// Encode failures are not memoized; the entry was removed and
-		// the next request re-encodes (it may well succeed — the list
-		// is immutable but memory pressure is not).
-		return e, e.err
-	}
-	e := s.installLocked(key, &blobEntry{list: l, ready: make(chan struct{})})
-	s.mu.Unlock()
-
-	var buf bytes.Buffer
-	zw := gzip.NewWriter(&buf)
-	err := toplist.WriteCSV(zw, l)
-	if cerr := zw.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		e.err = err
-		s.dropEntry(key, e)
-		close(e.ready)
-		return nil, err
-	}
-	e.data, e.etag = buf.Bytes(), `"`+toplist.ContentHash(buf.Bytes())+`"`
-	close(e.ready)
-	return e, nil
-}
-
-// installLocked inserts e for key — replacing any stale entry for a
-// since-changed slot — and trims the LRU to capacity; callers hold
-// s.mu and fill the entry outside the lock.
-func (s *Server) installLocked(key blobKey, e *blobEntry) *blobEntry {
-	if old, ok := s.blobs[key]; ok {
-		s.order.Remove(old.elem)
-	}
-	e.elem = s.order.PushFront(key)
-	s.blobs[key] = e
-	for len(s.blobs) > s.capacity {
-		back := s.order.Back()
-		if back == nil {
-			break
+// encoding while the source still returns the same immutable list —
+// the entry's validator on this path. Concurrent cold requests for one
+// snapshot share a single WriteCSV+gzip pass.
+func (s *Server) blobFor(provider string, day toplist.Day, l *toplist.List) (*blob, error) {
+	return s.blobs.Do(context.TODO(), blobKey{provider, day}, l, func() (*blob, error) {
+		var buf bytes.Buffer
+		zw := gzip.NewWriter(&buf)
+		err := toplist.WriteCSV(zw, l)
+		if cerr := zw.Close(); err == nil {
+			err = cerr
 		}
-		evict := back.Value.(blobKey)
-		s.order.Remove(back)
-		delete(s.blobs, evict)
-	}
-	return e
-}
-
-// dropEntry removes e from the cache after a failed fill, if it is
-// still the entry for key (eviction or replacement may have raced).
-func (s *Server) dropEntry(key blobKey, e *blobEntry) {
-	s.mu.Lock()
-	if cur, ok := s.blobs[key]; ok && cur == e {
-		delete(s.blobs, key)
-		s.order.Remove(e.elem)
-	}
-	s.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		return &blob{data: buf.Bytes(), etag: `"` + toplist.ContentHash(buf.Bytes()) + `"`}, nil
+	})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

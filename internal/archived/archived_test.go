@@ -330,6 +330,71 @@ func TestRemoteCancellationMidFetch(t *testing.T) {
 	}
 }
 
+// joinSpy is a context whose first Done call is observable: a reader
+// that found another reader's fetch in flight asks for Done only when
+// it starts waiting on that fetch.
+type joinSpy struct {
+	context.Context
+	waiting chan struct{}
+	once    sync.Once
+}
+
+func (c *joinSpy) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.waiting) })
+	return c.Context.Done()
+}
+
+// TestRemoteJoinerSurvivesCancelledFetch: a reader that joined another
+// reader's in-flight fetch does not inherit that reader's cancellation;
+// it fetches again under its own context and gets the snapshot.
+func TestRemoteJoinerSurvivesCancelledFetch(t *testing.T) {
+	ds := testStore(t)
+	inner := NewServer(ds)
+	path := toplist.RemoteSnapshotPath("alexa", 0)
+	var block atomic.Bool
+	block.Store(true)
+	reached := make(chan struct{}, 1)
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == path && block.Load() {
+			reached <- struct{}{}
+			<-r.Context().Done()
+			return
+		}
+		inner.ServeHTTP(w, r)
+	})
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	remote, err := toplist.OpenRemote(context.Background(), ts.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	first := make(chan error, 1)
+	go func() {
+		_, err := remote.GetContext(ctx, "alexa", 0)
+		first <- err
+	}()
+	<-reached // the first reader's fetch is in flight
+	spy := &joinSpy{Context: context.Background(), waiting: make(chan struct{})}
+	joiner := make(chan *toplist.List, 1)
+	go func() {
+		l, err := remote.GetContext(spy, "alexa", 0)
+		if err != nil {
+			t.Errorf("joiner inherited the cancelled fetch: %v", err)
+		}
+		joiner <- l
+	}()
+	<-spy.waiting // the joiner waits on the first reader's fetch
+	block.Store(false)
+	cancel()
+	if err := <-first; err == nil {
+		t.Fatal("cancelled fetch returned nil error")
+	}
+	if l := <-joiner; l == nil {
+		t.Fatal("joiner got no snapshot")
+	}
+}
+
 // TestRemoteLRUEviction: the decoded-snapshot cache is bounded; the
 // least recently used slot is refetched after eviction.
 func TestRemoteLRUEviction(t *testing.T) {
@@ -735,6 +800,48 @@ func TestETagStableAcrossRestarts(t *testing.T) {
 	cond, _ := fetchStored(t, serveOpts(t, reopened), path, etag)
 	if cond.StatusCode != http.StatusNotModified {
 		t.Fatalf("pre-restart ETag got status %d, want 304", cond.StatusCode)
+	}
+}
+
+// TestRepairBehindWarmBlobCache: a Put that rewrites a slot the
+// server has already cached must not leave the old document in
+// service. The raw path validates its entry by the persisted hash, the
+// encode path by the decoded list's identity; either way the next GET
+// returns the new bytes under the new ETag.
+func TestRepairBehindWarmBlobCache(t *testing.T) {
+	for name, opts := range map[string][]Option{
+		"raw":    nil,
+		"encode": {WithoutRawFastPath()},
+	} {
+		t.Run(name, func(t *testing.T) {
+			ds, dir := cleanStore(t)
+			ts := serveOpts(t, ds, opts...)
+			path := toplist.RemoteSnapshotPath("alexa", 0)
+			before, oldBody := fetchStored(t, ts, path, "")
+			if before.StatusCode != http.StatusOK {
+				t.Fatalf("first GET status %d", before.StatusCode)
+			}
+			if err := ds.Put("alexa", 0, toplist.New([]string{"repaired.com"})); err != nil {
+				t.Fatal(err)
+			}
+			after, newBody := fetchStored(t, ts, path, "")
+			if after.StatusCode != http.StatusOK {
+				t.Fatalf("GET after repair status %d", after.StatusCode)
+			}
+			if bytes.Equal(newBody, oldBody) {
+				t.Fatal("repaired slot served the cached pre-repair bytes")
+			}
+			disk, err := os.ReadFile(filepath.Join(dir, "alexa", toplist.Day(0).String()+".csv.gz"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(newBody, disk) {
+				t.Fatal("body after repair is not the repaired file")
+			}
+			if got, want := after.Header.Get("ETag"), `"`+ds.RawHash("alexa", 0)+`"`; got != want || got == before.Header.Get("ETag") {
+				t.Fatalf("ETag after repair %s (before %s), want %s", got, before.Header.Get("ETag"), want)
+			}
+		})
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/toplist"
 )
 
@@ -20,25 +21,33 @@ func cacheArchive(t *testing.T, last toplist.Day) *toplist.Archive {
 	return arch
 }
 
+// cached reports how many documents s holds, walking the LRU's recency
+// list, and whether key is among them, looking it up in its map.
+func cached(s *Server, key blobKey) (int, bool) {
+	n := 0
+	for range s.cache.All() {
+		n++
+	}
+	_, ok := s.cache.Get(key)
+	return n, ok
+}
+
 func TestBlobCacheBounded(t *testing.T) {
 	arch := cacheArchive(t, 9)
-	s := NewServer(arch, WithBlobCache(3))
+	s := NewServer(arch)
+	s.cache = cache.New[blobKey, *blob](3)
 	for d := toplist.Day(0); d <= 9; d++ {
 		if _, err := s.blobFor("alexa", d, FormatCSV, arch.Get("alexa", d)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	s.mu.Lock()
-	n, olen := len(s.cache), s.order.Len()
-	s.mu.Unlock()
-	if n != 3 || olen != 3 {
-		t.Fatalf("cache holds %d entries (order %d), want 3", n, olen)
+	n, _ := cached(s, blobKey{})
+	if n != 3 {
+		t.Fatalf("cache holds %d entries, want 3", n)
 	}
 	// The most recent days survived; day 0 was evicted.
-	s.mu.Lock()
-	_, hasOld := s.cache[blobKey{"alexa", 0, FormatCSV}]
-	_, hasNew := s.cache[blobKey{"alexa", 9, FormatCSV}]
-	s.mu.Unlock()
+	_, hasOld := cached(s, blobKey{"alexa", 0, FormatCSV})
+	_, hasNew := cached(s, blobKey{"alexa", 9, FormatCSV})
 	if hasOld || !hasNew {
 		t.Fatalf("LRU kept the wrong end: day0=%v day9=%v", hasOld, hasNew)
 	}
@@ -46,7 +55,8 @@ func TestBlobCacheBounded(t *testing.T) {
 
 func TestBlobCacheLRUTouch(t *testing.T) {
 	arch := cacheArchive(t, 3)
-	s := NewServer(arch, WithBlobCache(2))
+	s := NewServer(arch)
+	s.cache = cache.New[blobKey, *blob](2)
 	get := func(d toplist.Day) {
 		t.Helper()
 		if _, err := s.blobFor("alexa", d, FormatCSV, arch.Get("alexa", d)); err != nil {
@@ -57,10 +67,8 @@ func TestBlobCacheLRUTouch(t *testing.T) {
 	get(1)
 	get(0) // touch day 0: day 1 is now the eviction candidate
 	get(2)
-	s.mu.Lock()
-	_, has0 := s.cache[blobKey{"alexa", 0, FormatCSV}]
-	_, has1 := s.cache[blobKey{"alexa", 1, FormatCSV}]
-	s.mu.Unlock()
+	_, has0 := cached(s, blobKey{"alexa", 0, FormatCSV})
+	_, has1 := cached(s, blobKey{"alexa", 1, FormatCSV})
 	if !has0 || has1 {
 		t.Fatalf("touch did not refresh recency: day0=%v day1=%v", has0, has1)
 	}
@@ -75,7 +83,7 @@ func TestBlobCacheSingleFlight(t *testing.T) {
 
 	const n = 16
 	var wg sync.WaitGroup
-	entries := make([]*blobEntry, n)
+	entries := make([]*blob, n)
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -94,10 +102,7 @@ func TestBlobCacheSingleFlight(t *testing.T) {
 			t.Fatal("concurrent fills produced distinct entries")
 		}
 	}
-	s.mu.Lock()
-	size := len(s.cache)
-	s.mu.Unlock()
-	if size != 1 {
+	if size, _ := cached(s, blobKey{}); size != 1 {
 		t.Fatalf("cache holds %d entries after single-flight fill, want 1", size)
 	}
 }
@@ -135,10 +140,7 @@ func TestBlobCacheNeverServesStale(t *testing.T) {
 	if after.etag == before.etag {
 		t.Fatal("stale ETag survived the repair")
 	}
-	s.mu.Lock()
-	size := len(s.cache)
-	s.mu.Unlock()
-	if size != 1 {
+	if size, _ := cached(s, blobKey{}); size != 1 {
 		t.Fatalf("cache holds %d entries for one slot, want 1", size)
 	}
 }

@@ -9,17 +9,18 @@ import (
 	"math/rand"
 	"net/http"
 	"strings"
-	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/toplist"
 )
 
 // Client downloads list snapshots from a Server (or anything that
 // serves the same routes). It retries transient failures with jittered
 // exponential backoff, honours context cancellation, and keeps a
-// per-URL validator cache so repeat downloads of an unchanged snapshot
-// cost one conditional request.
+// per-URL validator cache of the etagCacheSize most recent downloads,
+// so a prompt repeat download of an unchanged snapshot costs one
+// conditional request.
 type Client struct {
 	baseURL string
 	httpc   *http.Client
@@ -31,9 +32,15 @@ type Client struct {
 	sleep       func(context.Context, time.Duration) error
 	jitter      func() float64
 
-	mu    sync.Mutex
-	etags map[string]cachedDoc
+	etags *cache.LRU[string, cachedDoc] // URL → last 200's validator and list
 }
+
+// etagCacheSize bounds the validator cache. A daemon holding one
+// Client for its lifetime fetches each slot once (collectd skips the
+// slots it has stored, Mirror the ones it has collected), so an
+// unbounded cache would keep every list it ever collected; the 304
+// only pays off when the same URL is fetched again soon after.
+const etagCacheSize = 16
 
 type cachedDoc struct {
 	etag string
@@ -96,6 +103,7 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 		baseBackoff: 250 * time.Millisecond,
 		maxBody:     256 << 20,
 		jitter:      rand.Float64,
+		etags:       cache.New[string, cachedDoc](etagCacheSize),
 	}
 	c.sleep = func(ctx context.Context, d time.Duration) error {
 		t := time.NewTimer(d)
@@ -107,7 +115,6 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 			return nil
 		}
 	}
-	c.etags = make(map[string]cachedDoc)
 	for _, o := range opts {
 		o(c)
 	}
@@ -177,9 +184,7 @@ func (c *Client) fetch(ctx context.Context, path string) (*toplist.List, error) 
 		if err != nil {
 			return err
 		}
-		c.mu.Lock()
-		cached, haveCached := c.etags[url]
-		c.mu.Unlock()
+		cached, haveCached := c.etags.Get(url)
 		if haveCached {
 			req.Header.Set("If-None-Match", cached.etag)
 		}
@@ -210,9 +215,7 @@ func (c *Client) fetch(ctx context.Context, path string) (*toplist.List, error) 
 			return &transientError{err}
 		}
 		if etag := resp.Header.Get("ETag"); etag != "" {
-			c.mu.Lock()
-			c.etags[url] = cachedDoc{etag: etag, list: l}
-			c.mu.Unlock()
+			c.etags.Add(url, cachedDoc{etag: etag, list: l})
 		}
 		list = l
 		return nil

@@ -316,6 +316,65 @@ func TestClientETagCacheAvoidsRedownload(t *testing.T) {
 	}
 }
 
+// statusWriter records the status a handler answered with.
+type statusWriter struct {
+	http.ResponseWriter
+	code int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.code = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// TestClientETagCacheIsBounded: a client fetching more distinct
+// snapshots than its validator cache holds keeps at most
+// etagCacheSize of them, and a prompt re-fetch of the newest day still
+// costs exactly one 304.
+func TestClientETagCacheIsBounded(t *testing.T) {
+	days := etagCacheSize + 4
+	inner := NewServer(testArchive(t, days))
+	var requests, notModified atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		requests.Add(1)
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		inner.ServeHTTP(sw, r)
+		if sw.code == http.StatusNotModified {
+			notModified.Add(1)
+		}
+	}))
+	defer ts.Close()
+
+	c := NewClient(ts.URL, WithFormat(FormatCSV), instantSleep())
+	ctx := context.Background()
+	var newest *toplist.List
+	for d := 0; d < days; d++ {
+		l, err := c.FetchDay(ctx, "alexa", toplist.Day(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		newest = l
+	}
+	held := 0
+	for range c.etags.All() {
+		held++
+	}
+	if held > etagCacheSize {
+		t.Fatalf("client holds %d validators after %d distinct fetches, want at most %d", held, days, etagCacheSize)
+	}
+	requests.Store(0)
+	again, err := c.FetchDay(ctx, "alexa", toplist.Day(days-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !sameList(again, newest) {
+		t.Fatal("re-fetch returned a different list")
+	}
+	if requests.Load() != 1 || notModified.Load() != 1 {
+		t.Fatalf("re-fetch cost %d requests and %d 304s, want 1 and 1", requests.Load(), notModified.Load())
+	}
+}
+
 // flakyHandler fails n requests with the given code before delegating.
 func flakyHandler(n int, code int, next http.Handler) http.Handler {
 	var remaining atomic.Int64
@@ -532,36 +591,67 @@ func TestMirrorAbortsOnPersistentError(t *testing.T) {
 	}
 }
 
+// TestMirrorFollowsLivePublisher follows a publisher the way
+// examples/mirror does, re-collecting the whole range on every tick,
+// for more days than the client's validator cache covers. A tick
+// downloads only what the mirror does not hold yet: an unpublished
+// day is asked for (404, a gap) until it is published and downloaded,
+// and an already-collected day costs no request at all.
 func TestMirrorFollowsLivePublisher(t *testing.T) {
-	arch := testArchive(t, 4)
+	days := etagCacheSize/3 + 4
+	arch := testArchive(t, days)
 	gk := NewGatekeeper(arch, 0)
-	ts := httptest.NewServer(NewServerAt(gk))
+	inner := NewServerAt(gk)
+	var requests, full atomic.Int64
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
+		inner.ServeHTTP(sw, r)
+		requests.Add(1)
+		if sw.code == http.StatusOK {
+			full.Add(1)
+		}
+	}))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, instantSleep())
-	m := NewMirror(c, []string{"alexa", "umbrella", "majestic"})
-	// Day-by-day: publish, then collect, like a daily cron.
-	got, err := m.Collect(context.Background(), 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = got
-	for d := toplist.Day(1); d <= 3; d++ {
-		gk.Advance(d)
-		t.Logf("collecting day %v", d)
-		// CollectDay on the original archive window fails (window is
-		// [0,0]); re-collect the full range instead, exercising the
-		// conditional-request cache for already-seen days.
+	providers := []string{"alexa", "umbrella", "majestic"}
+	m := NewMirror(NewClient(ts.URL, instantSleep()), providers)
+	collect := func(d toplist.Day, wantFull int) {
+		t.Helper()
+		requests.Store(0)
+		full.Store(0)
+		// CollectDay past the previous archive window fails; re-collect
+		// the full range instead.
 		if _, err := m.Collect(context.Background(), 0, d); err != nil {
 			t.Fatal(err)
 		}
+		if requests.Load() != int64(len(providers)) || full.Load() != int64(wantFull) {
+			t.Fatalf("collect [0,%v]: %d requests, %d full downloads; want %d and %d",
+				d, requests.Load(), full.Load(), len(providers), wantFull)
+		}
+	}
+	collect(0, len(providers))
+	for d := toplist.Day(1); d < toplist.Day(days); d++ {
+		collect(d, 0) // not published yet: one 404 per provider
+		if gaps := m.Gaps(); len(gaps) != len(providers) {
+			t.Fatalf("day %v: gaps = %v, want one per provider", d, gaps)
+		}
+		// Day-by-day: publish, then collect, like a daily cron.
+		gk.Advance(d)
+		collect(d, len(providers))
 	}
 	final := m.Archive()
-	if !final.Complete() {
-		t.Fatal("live-followed archive incomplete")
+	if !final.Complete() || len(m.Gaps()) != 0 {
+		t.Fatalf("live-followed archive incomplete; gaps %v", m.Gaps())
 	}
-	if final.Days() != 4 {
-		t.Fatalf("days = %d, want 4", final.Days())
+	if final.Days() != days {
+		t.Fatalf("days = %d, want %d", final.Days(), days)
+	}
+	for _, p := range providers {
+		for d := toplist.Day(0); d < toplist.Day(days); d++ {
+			if !sameList(final.Get(p, d), arch.Get(p, d)) {
+				t.Fatalf("mismatch at %s day %v", p, d)
+			}
+		}
 	}
 }
 

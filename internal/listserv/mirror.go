@@ -53,13 +53,27 @@ func NewMirror(client *Client, providers []string, opts ...MirrorOption) *Mirror
 
 // Collect downloads all snapshots in [first, last] and returns the
 // assembled archive. Unpublished snapshots (404) become gaps; any
-// other error aborts the collection.
+// other error aborts the collection. Snapshots an earlier Collect
+// already holds are kept without another request (a published
+// snapshot never changes), so following a live publisher by
+// re-collecting [first, today] on every tick downloads each snapshot
+// once.
 func (m *Mirror) Collect(ctx context.Context, first, last toplist.Day) (*toplist.Archive, error) {
 	if last < first {
 		return nil, fmt.Errorf("listserv: collect range [%v,%v] is empty", first, last)
 	}
 	m.mu.Lock()
+	prev := m.archive
 	m.archive = toplist.NewArchive(first, last)
+	if prev != nil {
+		for _, p := range prev.Providers() {
+			for d := max(first, prev.First()); d <= min(last, prev.Last()); d++ {
+				if l := prev.Get(p, d); l != nil {
+					m.archive.Put(p, d, l) //nolint:errcheck // d is inside the new range
+				}
+			}
+		}
+	}
 	m.gaps = make(map[string][]toplist.Day)
 	m.mu.Unlock()
 	for d := first; d <= last; d++ {
@@ -70,15 +84,23 @@ func (m *Mirror) Collect(ctx context.Context, first, last toplist.Day) (*toplist
 	return m.Archive(), nil
 }
 
-// CollectDay downloads one day across all providers, in parallel.
-// It may be called repeatedly with increasing days to follow a live
-// publisher (see Gatekeeper).
+// CollectDay downloads one day across all providers that do not
+// already hold it, in parallel. It may be called repeatedly with
+// increasing days to follow a live publisher (see Gatekeeper).
 func (m *Mirror) CollectDay(ctx context.Context, day toplist.Day) error {
 	type result struct {
 		provider string
 		list     *toplist.List
 		err      error
 	}
+	var todo []string
+	m.mu.Lock()
+	for _, p := range m.providers {
+		if m.archive.Get(p, day) == nil {
+			todo = append(todo, p)
+		}
+	}
+	m.mu.Unlock()
 	jobs := make(chan string)
 	results := make(chan result)
 	var wg sync.WaitGroup
@@ -94,7 +116,7 @@ func (m *Mirror) CollectDay(ctx context.Context, day toplist.Day) error {
 	}
 	go func() {
 		defer close(jobs)
-		for _, p := range m.providers {
+		for _, p := range todo {
 			select {
 			case jobs <- p:
 			case <-ctx.Done():

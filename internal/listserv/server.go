@@ -20,9 +20,7 @@ import (
 	"archive/zip"
 	"bytes"
 	"compress/gzip"
-	"container/list"
-	"crypto/sha256"
-	"encoding/hex"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -31,6 +29,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/serve"
 	"repro/internal/toplist"
 )
@@ -100,7 +99,7 @@ type Index struct {
 // real providers use.
 //
 // Encoded snapshot documents are kept in a bounded single-flight LRU
-// (WithBlobCache) keyed by (provider, day, format) and validated by
+// (256 documents) keyed by (provider, day, format) and validated by
 // the identity of the immutable list they encode — so a hot-swapped
 // Source (serve.SwappableSource) or a repairing DiskStore Put yields a
 // different list pointer, misses, and is re-encoded instead of served
@@ -108,11 +107,7 @@ type Index struct {
 type Server struct {
 	archive *Gatekeeper
 	mux     *http.ServeMux
-
-	mu       sync.Mutex
-	cache    map[blobKey]*blobEntry
-	order    *list.List // LRU: front = most recent; values are blobKey
-	capacity int
+	cache   *cache.LRU[blobKey, *blob]
 }
 
 // Gatekeeper mediates read access to an archive source, so a Server
@@ -241,19 +236,6 @@ type blob struct {
 	etag string
 }
 
-// blobEntry is one encoded snapshot document slot: filled once outside
-// the lock, waited on by concurrent requests for the same document
-// (single-flight), validated against the immutable list it encodes so
-// a swapped or repaired slot misses instead of serving stale bytes.
-type blobEntry struct {
-	list  *toplist.List // the list these bytes encode — the cache validator
-	ready chan struct{} // closed once data/etag (or err) are final
-	data  []byte
-	etag  string
-	err   error
-	elem  *list.Element
-}
-
 // Option configures a Server.
 type Option func(*Server)
 
@@ -264,18 +246,6 @@ type Option func(*Server)
 // mux) either way.
 func WithMux(mux *http.ServeMux) Option {
 	return func(s *Server) { s.mux = mux }
-}
-
-// WithBlobCache bounds the encoded-document LRU to n entries (default
-// 256). Each entry holds one encoded snapshot document; the bound is
-// what keeps a long-running publisher's memory at the readers' working
-// set rather than every document it ever served.
-func WithBlobCache(n int) Option {
-	return func(s *Server) {
-		if n > 0 {
-			s.capacity = n
-		}
-	}
 }
 
 // NewServer publishes every day of the archive source immediately —
@@ -291,10 +261,10 @@ func NewServer(archive toplist.Source, opts ...Option) *Server {
 // collection scenario).
 func NewServerAt(g *Gatekeeper, opts ...Option) *Server {
 	s := &Server{
-		archive:  g,
-		cache:    make(map[blobKey]*blobEntry),
-		order:    list.New(),
-		capacity: 256,
+		archive: g,
+		// The bound keeps a long-running publisher's memory at the
+		// readers' working set rather than every document it served.
+		cache: cache.New[blobKey, *blob](256),
 	}
 	for _, o := range opts {
 		o(s)
@@ -374,56 +344,14 @@ func parseFileName(name string) (Format, bool) {
 // for the slot — a hot swap or repairing Put yields a new list, so the
 // stale entry is replaced, never served. Encodes are single-flight:
 // concurrent cold requests for one document share one Encode pass.
-func (s *Server) blobFor(provider string, day toplist.Day, format Format, l *toplist.List) (*blobEntry, error) {
-	key := blobKey{provider, day, format}
-	s.mu.Lock()
-	if e, ok := s.cache[key]; ok && e.list == l {
-		s.order.MoveToFront(e.elem)
-		s.mu.Unlock()
-		<-e.ready
-		// Encode failures are not memoized: the failing entry was
-		// dropped and the next request retries.
-		return e, e.err
-	}
-	e := &blobEntry{list: l, ready: make(chan struct{})}
-	if old, ok := s.cache[key]; ok {
-		s.order.Remove(old.elem)
-	}
-	e.elem = s.order.PushFront(key)
-	s.cache[key] = e
-	for len(s.cache) > s.capacity {
-		back := s.order.Back()
-		if back == nil {
-			break
+func (s *Server) blobFor(provider string, day toplist.Day, format Format, l *toplist.List) (*blob, error) {
+	return s.cache.Do(context.TODO(), blobKey{provider, day, format}, l, func() (*blob, error) {
+		data, err := Encode(l, format)
+		if err != nil {
+			return nil, err
 		}
-		evict := back.Value.(blobKey)
-		s.order.Remove(back)
-		delete(s.cache, evict)
-	}
-	s.mu.Unlock()
-
-	data, err := Encode(l, format)
-	if err != nil {
-		e.err = err
-		s.dropEntry(key, e)
-		close(e.ready)
-		return nil, err
-	}
-	sum := sha256.Sum256(data)
-	e.data, e.etag = data, `"`+hex.EncodeToString(sum[:16])+`"`
-	close(e.ready)
-	return e, nil
-}
-
-// dropEntry removes e from the cache after a failed fill, if it is
-// still the entry for key (eviction or replacement may have raced).
-func (s *Server) dropEntry(key blobKey, e *blobEntry) {
-	s.mu.Lock()
-	if cur, ok := s.cache[key]; ok && cur == e {
-		delete(s.cache, key)
-		s.order.Remove(e.elem)
-	}
-	s.mu.Unlock()
+		return &blob{data: data, etag: `"` + toplist.ContentHash(data) + `"`}, nil
+	})
 }
 
 // Encode serialises a list in the given publication format.

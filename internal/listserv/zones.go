@@ -3,8 +3,6 @@ package listserv
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"net/http"
@@ -106,8 +104,7 @@ func (zh *zoneHost) blobFor(tld string) (blob, error) {
 	if err := simnet.WriteZone(&buf, tld, zh.source.ZoneDomains(tld), nil); err != nil {
 		return blob{}, err
 	}
-	sum := sha256.Sum256(buf.Bytes())
-	b := blob{data: buf.Bytes(), etag: `"` + hex.EncodeToString(sum[:16]) + `"`}
+	b := blob{data: buf.Bytes(), etag: `"` + toplist.ContentHash(buf.Bytes()) + `"`}
 	zh.cache[tld] = b
 	return b, nil
 }

@@ -1,7 +1,6 @@
 package pack
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"fmt"
@@ -12,6 +11,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/cache"
 )
 
 // This file is the remote blob backend: an io.ReaderAt over HTTP Range
@@ -36,7 +37,7 @@ import (
 //
 //   - Chatty small reads: opening a pack reads a header, a footer, and
 //     a directory; slot reads then walk blobs in order. Adjacent small
-//     reads are coalesced into aligned chunk fetches (default 128 KiB)
+//     reads are coalesced into aligned chunk fetches (128 KiB)
 //     held in a small LRU, so the open sequence and a day-range sweep
 //     cost a handful of requests instead of one per read. Reads at
 //     least one chunk long bypass the chunk cache with a single exact
@@ -65,8 +66,6 @@ type httpOptions struct {
 	client      *http.Client
 	maxAttempts int
 	baseBackoff time.Duration
-	chunkSize   int64
-	chunkCache  int
 	jitter      func() float64
 	sleep       func(context.Context, time.Duration) error
 }
@@ -76,8 +75,6 @@ func defaultHTTPOptions() httpOptions {
 		client:      &http.Client{Timeout: 30 * time.Second},
 		maxAttempts: 4,
 		baseBackoff: 250 * time.Millisecond,
-		chunkSize:   128 << 10,
-		chunkCache:  32,
 		jitter:      rand.Float64,
 		sleep: func(ctx context.Context, d time.Duration) error {
 			t := time.NewTimer(d)
@@ -119,25 +116,13 @@ func WithBaseBackoff(d time.Duration) Option {
 	}
 }
 
-// WithChunkSize sets the aligned fetch granularity small reads are
-// coalesced into (default 128 KiB).
-func WithChunkSize(n int64) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.http.chunkSize = n
-		}
-	}
-}
-
-// WithChunkCache bounds the coalescing chunk LRU to n chunks (default
-// 32).
-func WithChunkCache(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.http.chunkCache = n
-		}
-	}
-}
+// defaultChunkSize is the aligned fetch granularity small reads are
+// coalesced into, and chunkCacheSize bounds the chunk LRU: 4 MiB in
+// all.
+const (
+	defaultChunkSize = 128 << 10
+	chunkCacheSize   = 32
+)
 
 // HTTPRangeReaderAt reads a remote file through HTTP Range requests —
 // the blob backend that turns any static file server into a pack
@@ -152,20 +137,11 @@ type HTTPRangeReaderAt struct {
 	// the server sent one, else its Last-Modified, else "" (no guard —
 	// per-slot hashes remain the backstop).
 	validator string
+	chunkSize int64                     // defaultChunkSize; tests shrink it
+	chunks    *cache.LRU[int64, []byte] // aligned chunk start → bytes
 
 	mu         sync.Mutex
-	chunks     map[int64]*chunkEntry // aligned chunk start → entry
-	order      *list.List            // LRU: front = most recent; values are int64 starts
-	fullBodyOK bool                  // the one-shot 200-tolerance has been spent
-}
-
-// chunkEntry is one aligned chunk's fetch slot; fetches are
-// single-flight like every other cache in this codebase.
-type chunkEntry struct {
-	ready chan struct{}
-	data  []byte
-	err   error
-	elem  *list.Element
+	fullBodyOK bool // the one-shot 200-tolerance has been spent
 }
 
 // NewHTTPRangeReaderAt probes the file at url (HEAD, falling back to a
@@ -175,11 +151,11 @@ type chunkEntry struct {
 func NewHTTPRangeReaderAt(ctx context.Context, url string, opts ...Option) (*HTTPRangeReaderAt, error) {
 	o := buildOptions(opts)
 	h := &HTTPRangeReaderAt{
-		url:    url,
-		ctx:    ctx,
-		opt:    o.http,
-		chunks: make(map[int64]*chunkEntry),
-		order:  list.New(),
+		url:       url,
+		ctx:       ctx,
+		opt:       o.http,
+		chunkSize: defaultChunkSize,
+		chunks:    cache.New[int64, []byte](chunkCacheSize),
 	}
 	if err := h.probe(ctx); err != nil {
 		return nil, err
@@ -294,13 +270,13 @@ func (h *HTTPRangeReaderAt) ReadAt(p []byte, off int64) (int, error) {
 		end, atEOF = h.size, true
 	}
 	want := end - off
-	if want >= h.opt.chunkSize {
+	if want >= h.chunkSize {
 		if err := h.fetchRange(h.ctx, p[:want], off); err != nil {
 			return 0, err
 		}
 	} else {
 		for cur := off; cur < end; {
-			start := cur - cur%h.opt.chunkSize
+			start := cur - cur%h.chunkSize
 			data, err := h.chunk(start)
 			if err != nil {
 				return int(cur - off), err
@@ -320,47 +296,13 @@ func (h *HTTPRangeReaderAt) ReadAt(p []byte, off int64) (int, error) {
 // chunk returns the aligned chunk starting at start, fetching it
 // single-flight and caching it in the LRU.
 func (h *HTTPRangeReaderAt) chunk(start int64) ([]byte, error) {
-	h.mu.Lock()
-	if e, ok := h.chunks[start]; ok {
-		h.order.MoveToFront(e.elem)
-		h.mu.Unlock()
-		<-e.ready
-		return e.data, e.err
-	}
-	e := &chunkEntry{ready: make(chan struct{})}
-	e.elem = h.order.PushFront(start)
-	h.chunks[start] = e
-	for len(h.chunks) > h.opt.chunkCache {
-		back := h.order.Back()
-		if back == nil {
-			break
+	return h.chunks.Do(h.ctx, start, nil, func() ([]byte, error) {
+		buf := make([]byte, min(start+h.chunkSize, h.size)-start)
+		if err := h.fetchRange(h.ctx, buf, start); err != nil {
+			return nil, err
 		}
-		evict := back.Value.(int64)
-		h.order.Remove(back)
-		delete(h.chunks, evict)
-	}
-	h.mu.Unlock()
-
-	end := start + h.opt.chunkSize
-	if end > h.size {
-		end = h.size
-	}
-	buf := make([]byte, end-start)
-	e.err = h.fetchRange(h.ctx, buf, start)
-	if e.err != nil {
-		// Fetch failures are never memoized: drop the entry so the
-		// next reader retries.
-		h.mu.Lock()
-		if cur, ok := h.chunks[start]; ok && cur == e {
-			delete(h.chunks, start)
-			h.order.Remove(e.elem)
-		}
-		h.mu.Unlock()
-	} else {
-		e.data = buf
-	}
-	close(e.ready)
-	return e.data, e.err
+		return buf, nil
+	})
 }
 
 // fetchRange fills buf with the bytes at [off, off+len(buf)), retrying

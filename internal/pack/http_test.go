@@ -165,10 +165,11 @@ func flakyServer(t *testing.T, nFaults int) (*httptest.Server, *flakyHandler, *H
 	t.Cleanup(ts.Close)
 	// A tiny chunk size so a small test pack spans many chunks — the
 	// faults below must hit the network, not the chunk cache.
-	ra, err := NewHTTPRangeReaderAt(context.Background(), ts.URL, fastOpts(WithChunkSize(64))...)
+	ra, err := NewHTTPRangeReaderAt(context.Background(), ts.URL, fastOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
+	ra.chunkSize = 64
 	return ts, h, ra
 }
 

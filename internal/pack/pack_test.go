@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/archived"
+	"repro/internal/cache"
 	"repro/internal/toplist"
 )
 
@@ -348,7 +349,7 @@ func TestPackConcurrentReaders(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer p.Close()
-	p.capacity = 2
+	p.cache = cache.New[slotKey, *toplist.List](2)
 	providers := p.Providers()
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {

@@ -1,13 +1,14 @@
 package pack
 
 import (
-	"container/list"
+	"context"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
+	"repro/internal/cache"
 	"repro/internal/toplist"
 )
 
@@ -40,25 +41,17 @@ type Pack struct {
 	providers []string
 	expected  []string
 	slots     map[slotKey]record
+	cache     *cache.LRU[slotKey, *toplist.List]
 
-	mu       sync.Mutex
-	cache    map[slotKey]*cacheEntry
-	order    *list.List // LRU: front = most recent; values are slotKey
-	capacity int
-	corrupt  map[slotKey]bool // settled hash/decode failures
+	mu sync.Mutex
+	// corrupt holds the settled hash/decode failures. It lives outside
+	// the LRU so eviction cannot forget a verdict.
+	corrupt map[slotKey]bool
 }
 
 type slotKey struct {
 	provider string
 	day      toplist.Day
-}
-
-// cacheEntry is one slot's decode slot: the first Get installs it and
-// fetches+decodes outside the lock, concurrent readers wait on ready.
-type cacheEntry struct {
-	ready chan struct{}
-	list  *toplist.List // nil until settled; nil after any failure
-	elem  *list.Element
 }
 
 var (
@@ -139,9 +132,7 @@ func Open(r io.ReaderAt, size int64) (*Pack, error) {
 		providers: dir.Providers,
 		expected:  dir.Expected,
 		slots:     make(map[slotKey]record, len(dir.Snapshots)),
-		cache:     make(map[slotKey]*cacheEntry),
-		order:     list.New(),
-		capacity:  decodeCacheSize,
+		cache:     cache.New[slotKey, *toplist.List](decodeCacheSize),
 		corrupt:   make(map[slotKey]bool),
 	}
 	known := make(map[string]bool, len(dir.Providers))
@@ -254,56 +245,43 @@ func (p *Pack) Snapshots() int { return len(p.slots) }
 func (p *Pack) Get(provider string, day toplist.Day) *toplist.List {
 	key := slotKey{provider, day}
 	rec, ok := p.slots[key]
-	if !ok {
+	if !ok || p.isCorrupt(key) {
 		return nil
 	}
-	p.mu.Lock()
-	if p.corrupt[key] {
-		p.mu.Unlock()
-		return nil
-	}
-	if e, ok := p.cache[key]; ok {
-		p.order.MoveToFront(e.elem)
-		p.mu.Unlock()
-		<-e.ready
-		return e.list
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	e.elem = p.order.PushFront(key)
-	p.cache[key] = e
-	p.evictLocked()
-	p.mu.Unlock()
-
-	l, readErr, corrupt := p.loadSlot(key, rec)
-	if corrupt {
-		p.settleCorrupt(key, e)
-	} else if readErr != nil {
-		// Transient backend failure: uncache so the next reader
-		// retries; waiters on this entry observe nil for this attempt.
-		p.dropEntry(key, e)
-	}
-	e.list = l
-	close(e.ready)
+	// Both failures leave the LRU: a corrupt slot is answered from the
+	// corrupt set from now on, and a backend failure is retried by the
+	// next reader. Waiters on a failed load observe nil for this
+	// attempt. A reader that passed the check above just before
+	// another reader's load marked the slot gets the verdict here,
+	// without reading the blob again.
+	l, _ := p.cache.Do(context.TODO(), key, nil, func() (*toplist.List, error) {
+		if p.isCorrupt(key) {
+			return nil, toplist.ErrCorruptSnapshot
+		}
+		return p.loadSlot(key, rec)
+	})
 	return l
 }
 
-// loadSlot fetches and decodes one blob: (list, nil, false) on
-// success, (nil, err, false) on a backend read failure, and
-// (nil, err, true) when the bytes are settled corrupt (hash mismatch
-// or undecodable).
-func (p *Pack) loadSlot(key slotKey, rec record) (*toplist.List, error, bool) {
+// loadSlot fetches and decodes one blob. Bytes that fail their hash
+// check or do not decode are memoized as corrupt and reported with an
+// error wrapping toplist.ErrCorruptSnapshot; a backend read failure is
+// returned as is.
+func (p *Pack) loadSlot(key slotKey, rec record) (*toplist.List, error) {
 	data, err := p.readBlob(rec)
 	if err != nil {
-		return nil, err, false
+		return nil, err
 	}
 	if got := toplist.ContentHash(data); got != rec.Hash {
-		return nil, fmt.Errorf("pack: %s %v: stored bytes do not match directory hash: %w", key.provider, key.day, toplist.ErrCorruptSnapshot), true
+		p.markCorrupt(key)
+		return nil, fmt.Errorf("pack: %s %v: stored bytes do not match directory hash: %w", key.provider, key.day, toplist.ErrCorruptSnapshot)
 	}
 	l, err := toplist.DecodeSnapshot(data)
 	if err != nil {
-		return nil, fmt.Errorf("pack: %s %v: %v: %w", key.provider, key.day, err, toplist.ErrCorruptSnapshot), true
+		p.markCorrupt(key)
+		return nil, fmt.Errorf("pack: %s %v: %v: %w", key.provider, key.day, err, toplist.ErrCorruptSnapshot)
 	}
-	return l, nil, false
+	return l, nil
 }
 
 // readBlob fetches one blob's bytes from the backend.
@@ -315,42 +293,16 @@ func (p *Pack) readBlob(rec record) ([]byte, error) {
 	return data, nil
 }
 
-// settleCorrupt memoizes a hash/decode failure and retires the slot's
-// cache entry (corrupt slots are answered from the corrupt set, not
-// the LRU, so eviction cannot forget the verdict).
-func (p *Pack) settleCorrupt(key slotKey, e *cacheEntry) {
+func (p *Pack) isCorrupt(key slotKey) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.corrupt[key]
+}
+
+func (p *Pack) markCorrupt(key slotKey) {
 	p.mu.Lock()
 	p.corrupt[key] = true
-	if cur, ok := p.cache[key]; ok && cur == e {
-		delete(p.cache, key)
-		p.order.Remove(e.elem)
-	}
 	p.mu.Unlock()
-}
-
-// dropEntry removes e if it is still installed for key.
-func (p *Pack) dropEntry(key slotKey, e *cacheEntry) {
-	p.mu.Lock()
-	if cur, ok := p.cache[key]; ok && cur == e {
-		delete(p.cache, key)
-		p.order.Remove(e.elem)
-	}
-	p.mu.Unlock()
-}
-
-// evictLocked trims the LRU to capacity; callers hold p.mu. Evicting
-// an in-flight entry is safe: waiters hold the entry pointer and
-// settle against it, the slot just becomes refetchable.
-func (p *Pack) evictLocked() {
-	for len(p.cache) > p.capacity {
-		back := p.order.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(slotKey)
-		p.order.Remove(back)
-		delete(p.cache, key)
-	}
 }
 
 // RawHash returns the content hash the directory records for the
@@ -374,10 +326,7 @@ func (p *Pack) GetRaw(provider string, day toplist.Day) (*toplist.RawSnapshot, e
 	if !ok {
 		return nil, nil
 	}
-	p.mu.Lock()
-	corrupt := p.corrupt[key]
-	p.mu.Unlock()
-	if corrupt {
+	if p.isCorrupt(key) {
 		return nil, fmt.Errorf("pack: %s %v: %w", provider, day, toplist.ErrCorruptSnapshot)
 	}
 	data, err := p.readBlob(rec)
@@ -385,9 +334,7 @@ func (p *Pack) GetRaw(provider string, day toplist.Day) (*toplist.RawSnapshot, e
 		return nil, err
 	}
 	if got := toplist.ContentHash(data); got != rec.Hash {
-		p.mu.Lock()
-		p.corrupt[key] = true
-		p.mu.Unlock()
+		p.markCorrupt(key)
 		return nil, fmt.Errorf("pack: %s %v: stored bytes do not match directory hash: %w", provider, day, toplist.ErrCorruptSnapshot)
 	}
 	return &toplist.RawSnapshot{Data: data, Hash: rec.Hash}, nil
@@ -403,21 +350,11 @@ func (p *Pack) GetRaw(provider string, day toplist.Day) (*toplist.RawSnapshot, e
 // one. Returns the accumulated Corrupt listing.
 func (p *Pack) Verify() ([]toplist.Snapshot, error) {
 	for key, rec := range p.slots {
-		p.mu.Lock()
-		done := p.corrupt[key]
-		p.mu.Unlock()
-		if done {
+		if p.isCorrupt(key) {
 			continue
 		}
-		_, readErr, corrupt := p.loadSlot(key, rec)
-		if corrupt {
-			p.mu.Lock()
-			p.corrupt[key] = true
-			p.mu.Unlock()
-			continue
-		}
-		if readErr != nil {
-			return p.Corrupt(), fmt.Errorf("pack: verify %s %v: %w", key.provider, key.day, readErr)
+		if _, err := p.loadSlot(key, rec); err != nil && !errors.Is(err, toplist.ErrCorruptSnapshot) {
+			return p.Corrupt(), fmt.Errorf("pack: verify %s %v: %w", key.provider, key.day, err)
 		}
 	}
 	return p.Corrupt(), nil
@@ -431,27 +368,10 @@ func (p *Pack) Verify() ([]toplist.Snapshot, error) {
 // grows.
 func (p *Pack) Corrupt() []toplist.Snapshot {
 	p.mu.Lock()
-	keys := make([]slotKey, 0, len(p.corrupt))
+	found := make([]toplist.Snapshot, 0, len(p.corrupt))
 	for key := range p.corrupt {
-		keys = append(keys, key)
+		found = append(found, toplist.Snapshot{Provider: key.provider, Day: key.day})
 	}
 	p.mu.Unlock()
-	if len(keys) == 0 {
-		return nil
-	}
-	rank := make(map[string]int, len(p.providers))
-	for i, prov := range p.providers {
-		rank[prov] = i
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].provider != keys[j].provider {
-			return rank[keys[i].provider] < rank[keys[j].provider]
-		}
-		return keys[i].day < keys[j].day
-	})
-	out := make([]toplist.Snapshot, len(keys))
-	for i, key := range keys {
-		out[i] = toplist.Snapshot{Provider: key.provider, Day: key.day}
-	}
-	return out
+	return toplist.SortSnapshots(found, p.providers)
 }

@@ -2,9 +2,11 @@ package toplist
 
 import (
 	"compress/gzip"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -12,6 +14,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"repro/internal/cache"
 )
 
 // manifestName is the store's metadata file inside the archive dir.
@@ -79,23 +83,16 @@ type DiskStore struct {
 	first   Day
 	last    Day
 	present map[string][]bool // provider -> day-index bitmap
-	cache   map[storeKey]*cacheEntry
+	// cache holds each decoded snapshot, unbounded. A decode failure
+	// is memoized as a nil list, so a corrupt snapshot costs one read
+	// — not one per call — until a Put replaces it and removes the
+	// entry.
+	cache *cache.LRU[storeKey, *List]
 }
 
 type storeKey struct {
 	provider string
 	day      Day
-}
-
-// cacheEntry is one snapshot's decode slot. The first Get for a key
-// installs the entry and decodes outside the store lock; concurrent
-// readers of the same key wait on ready instead of each re-decoding
-// the same file. A decode failure is memoized as a final nil list, so
-// a corrupt snapshot costs one read — not one per call — until a Put
-// replaces it and invalidates the entry.
-type cacheEntry struct {
-	ready chan struct{} // closed once list is final
-	list  *List         // nil after a decode failure
 }
 
 var (
@@ -122,7 +119,7 @@ func CreateDiskStore(dir string, first, last Day) (*DiskStore, error) {
 		first:   first,
 		last:    last,
 		present: make(map[string][]bool),
-		cache:   make(map[storeKey]*cacheEntry),
+		cache:   cache.New[storeKey, *List](0),
 	}
 	if err := ds.flushManifestLocked(); err != nil {
 		return nil, err
@@ -165,7 +162,7 @@ func OpenArchive(dir string) (*DiskStore, error) {
 		first:   first,
 		last:    last,
 		present: make(map[string][]bool),
-		cache:   make(map[storeKey]*cacheEntry),
+		cache:   cache.New[storeKey, *List](0),
 	}
 	for _, p := range man.Providers {
 		bitmap := make([]bool, ds.daysLocked())
@@ -352,7 +349,7 @@ func (ds *DiskStore) store(provider string, day Day, write func(path string) (st
 	// Readers pay one decode per snapshot via Get instead. The delete
 	// also invalidates any memoized decode failure for this slot, so a
 	// rewrite of a corrupt snapshot becomes readable again.
-	delete(ds.cache, storeKey{provider, day})
+	ds.cache.Remove(storeKey{provider, day})
 	// The manifest is flushed per write because it now carries the
 	// snapshot's content hash; a crash between rename and flush leaves
 	// a readable slot without a hash, which simply serves through the
@@ -417,39 +414,23 @@ func writeFileAtomic(path string, data []byte) error {
 // reports a corrupt snapshot as present, so operators can spot
 // corruption by comparing Get against Missing.
 func (ds *DiskStore) Get(provider string, day Day) *List {
-	key := storeKey{provider, day}
-	ds.mu.RLock()
-	if day < ds.first || day > ds.last {
-		ds.mu.RUnlock()
+	if !ds.Has(provider, day) {
 		return nil
 	}
-	bitmap, ok := ds.present[provider]
-	if !ok || !bitmap[int(day-ds.first)] {
-		ds.mu.RUnlock()
-		return nil
-	}
-	e := ds.cache[key]
-	ds.mu.RUnlock()
-
-	if e == nil {
-		ds.mu.Lock()
-		if e = ds.cache[key]; e == nil {
-			// This reader won the install race: decode outside the
-			// lock and publish via the entry's ready channel. A Put
-			// meanwhile deletes the entry from the map; waiters on
-			// this decode still complete against it, and later Gets
-			// decode the replacement fresh.
-			e = &cacheEntry{ready: make(chan struct{})}
-			ds.cache[key] = e
-			ds.mu.Unlock()
-			e.list, _ = ds.readSnapshot(ds.path(provider, day))
-			close(e.ready)
-			return e.list
+	// A Put landing during the decode removes the entry: waiters on
+	// this decode still get its result, and later Gets decode the
+	// replacement fresh. The only fill that fails is a corrupt verdict
+	// gone stale under a repairing Put (see memoizeCorrupt); a reader
+	// that joined it decodes the repaired slot instead.
+	for {
+		l, err := ds.cache.Do(context.TODO(), storeKey{provider, day}, nil, func() (*List, error) {
+			l, _ := ds.readSnapshot(ds.path(provider, day))
+			return l, nil
+		})
+		if err == nil {
+			return l
 		}
-		ds.mu.Unlock()
 	}
-	<-e.ready
-	return e.list
 }
 
 func (ds *DiskStore) readSnapshot(path string) (*List, error) {
@@ -509,17 +490,11 @@ func (ds *DiskStore) GetRaw(provider string, day Day) (*RawSnapshot, error) {
 		return nil, nil
 	}
 	hash := ds.man.Hashes[provider][day.String()]
-	e := ds.cache[key]
 	ds.mu.RUnlock()
-	if e != nil {
-		select {
-		case <-e.ready:
-			if e.list == nil {
-				return nil, fmt.Errorf("toplist: %s %v: %w", provider, day, ErrCorruptSnapshot)
-			}
-		default:
-			// A decode is in flight; the raw read is independent of it.
-		}
+	// An in-flight decode does not count: the raw read is independent
+	// of it.
+	if l, ok := ds.cache.Get(key); ok && l == nil {
+		return nil, fmt.Errorf("toplist: %s %v: %w", provider, day, ErrCorruptSnapshot)
 	}
 	if hash == "" {
 		return nil, nil
@@ -535,24 +510,30 @@ func (ds *DiskStore) GetRaw(provider string, day Day) (*RawSnapshot, error) {
 	return &RawSnapshot{Data: data, Hash: hash}, nil
 }
 
+// errStaleVerdict fails a memoizeCorrupt fill whose slot was rewritten
+// after the verdict was reached, so the verdict is not memoized.
+var errStaleVerdict = errors.New("toplist: slot rewritten since it was judged corrupt")
+
 // memoizeCorrupt settles a slot's cache entry as a decode failure
 // without reading the file again, so Corrupt() lists it and both read
-// paths refuse it until a Put repairs the slot. hashWas is the
-// persisted hash the verdict was reached against: if a concurrent Put
-// has since replaced the slot (new hash), the verdict is stale and is
-// dropped instead of poisoning the fresh write.
+// paths refuse it until a Put repairs the slot. A slot that already
+// has an entry keeps it. hashWas is the persisted hash the verdict was
+// reached against: if a concurrent Put has since replaced the slot
+// (new hash), the verdict is stale and is dropped instead of poisoning
+// the fresh write. The check runs inside the fill, after the entry is
+// installed, so a Put either changes the hash before the check or
+// removes the entry after it; a Get that joins a stale verdict sees
+// its error and decodes again.
 func (ds *DiskStore) memoizeCorrupt(key storeKey, hashWas string) {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.man.Hashes[key.provider][key.day.String()] != hashWas {
-		return
-	}
-	if _, ok := ds.cache[key]; ok {
-		return
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	close(e.ready)
-	ds.cache[key] = e
+	// Only the memoized verdict matters; a stale one fails the fill.
+	_, _ = ds.cache.Do(context.TODO(), key, nil, func() (*List, error) {
+		ds.mu.RLock()
+		defer ds.mu.RUnlock()
+		if ds.man.Hashes[key.provider][key.day.String()] != hashWas {
+			return nil, errStaleVerdict
+		}
+		return nil, nil
+	})
 }
 
 // Verify eagerly sweeps the whole store: every present snapshot is
@@ -632,19 +613,12 @@ func (ds *DiskStore) VerifyReport() VerifyReport {
 // verifySlot checks one present snapshot and memoizes a failure; see
 // Verify.
 func (ds *DiskStore) verifySlot(key storeKey) {
+	if _, ok := ds.cache.Get(key); ok {
+		return // settled: decoded fine, or already known corrupt
+	}
 	ds.mu.RLock()
-	e := ds.cache[key]
 	hash := ds.man.Hashes[key.provider][key.day.String()]
 	ds.mu.RUnlock()
-	if e != nil {
-		select {
-		case <-e.ready:
-			return // settled: decoded fine, or already known corrupt
-		default:
-			// In flight: that decode will settle the slot itself.
-			return
-		}
-	}
 	data, err := os.ReadFile(ds.path(key.provider, key.day))
 	if err != nil {
 		// Present per the bitmap but unreadable — as corrupt as a file
@@ -713,20 +687,16 @@ func (ds *DiskStore) missingLocked() []Snapshot {
 func (ds *DiskStore) Corrupt() []Snapshot {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
-	var found []storeKey
-	for key, e := range ds.cache {
-		select {
-		case <-e.ready:
-			// A settled nil decode is corruption by construction: Get
-			// only installs entries for slots the presence bitmap says
-			// were written.
-			if e.list == nil {
-				found = append(found, key)
-			}
-		default:
+	var found []Snapshot
+	for key, l := range ds.cache.All() {
+		// A memoized nil decode is corruption by construction: Get
+		// only fills entries for slots the presence bitmap says were
+		// written.
+		if l == nil {
+			found = append(found, Snapshot{Provider: key.provider, Day: key.day})
 		}
 	}
-	return corruptSnapshots(found, ds.man.Providers)
+	return SortSnapshots(found, ds.man.Providers)
 }
 
 // Complete reports whether the store holds every snapshot it should —

@@ -1,6 +1,7 @@
 package toplist
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
@@ -534,6 +535,62 @@ func TestDiskStoreCorruptListing(t *testing.T) {
 	want = []Snapshot{{Provider: "umbrella", Day: 1}, {Provider: "alexa", Day: 1}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("Corrupt() after repair = %v, want %v", got, want)
+	}
+}
+
+// TestDiskStoreStaleVerdictAfterRepair: a corrupt verdict reached
+// against a slot's old bytes, settling only after a Put has repaired
+// the slot, is dropped — and a Get that joined it while it was in
+// flight reads the repaired list instead of reporting the slot corrupt.
+func TestDiskStoreStaleVerdictAfterRepair(t *testing.T) {
+	ds, err := CreateDiskStore(t.TempDir(), 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ds.Put("alexa", 0, New([]string{"old.com"})); err != nil {
+		t.Fatal(err)
+	}
+	key := storeKey{"alexa", 0}
+	oldHash := ds.RawHash("alexa", 0)
+	if err := ds.Put("alexa", 0, New([]string{"new.com"})); err != nil {
+		t.Fatal(err)
+	}
+
+	// A verdict landing after the repair is not memoized.
+	ds.memoizeCorrupt(key, oldHash)
+	if c := ds.Corrupt(); len(c) != 0 {
+		t.Fatalf("Corrupt() after a stale verdict = %v, want none", c)
+	}
+	if l := ds.Get("alexa", 0); l == nil || l.Name(1) != "new.com" {
+		t.Fatalf("Get after a stale verdict = %v, want the repaired list", l)
+	}
+
+	// A Get joining a stale verdict still in flight (its fill held
+	// where memoizeCorrupt's waits for the store lock) decodes afresh.
+	ds.cache.Remove(key)
+	installed, release := make(chan struct{}), make(chan struct{})
+	verdict := make(chan error)
+	go func() {
+		_, err := ds.cache.Do(context.Background(), key, nil, func() (*List, error) {
+			close(installed)
+			<-release
+			return nil, errStaleVerdict
+		})
+		verdict <- err
+	}()
+	<-installed
+	got := make(chan *List)
+	go func() { got <- ds.Get("alexa", 0) }()
+	time.Sleep(20 * time.Millisecond) // let the Get join the held verdict
+	close(release)
+	if err := <-verdict; err != errStaleVerdict {
+		t.Fatalf("held verdict returned %v", err)
+	}
+	if l := <-got; l == nil || l.Name(1) != "new.com" {
+		t.Fatalf("Get that joined a stale verdict = %v, want the repaired list", l)
+	}
+	if c := ds.Corrupt(); len(c) != 0 {
+		t.Fatalf("Corrupt() = %v, want none", c)
 	}
 }
 

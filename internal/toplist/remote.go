@@ -3,7 +3,6 @@ package toplist
 import (
 	"bytes"
 	"compress/gzip"
-	"container/list"
 	"context"
 	"encoding/json"
 	"errors"
@@ -17,6 +16,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"repro/internal/cache"
 )
 
 // This file defines the archive wire protocol — the versioned
@@ -136,7 +137,6 @@ type Remote struct {
 	baseURL string
 	httpc   *http.Client
 	base    context.Context
-	maxBody int64
 
 	maxAttempts int
 	baseBackoff time.Duration
@@ -153,18 +153,16 @@ type Remote struct {
 	scale     string
 	providers []string
 	known     map[string]bool
-	cache     map[storeKey]*remoteEntry
-	order     *list.List // LRU: front = most recent; values are storeKey
-	capacity  int
+	cache     *cache.LRU[storeKey, *remoteDoc]
 }
 
-// remoteEntry is one snapshot's fetch slot, the network analog of
-// DiskStore's cacheEntry. The first reader of a key installs the entry
-// and fetches outside the lock; concurrent readers wait on ready. A
-// settled entry holds the compressed wire document (raw == nil
-// memoizes an absent slot); a failed transfer records err and is
-// removed from the cache so the next reader retries instead of
-// inheriting a transient failure.
+// remoteMaxBody caps accepted response bodies, bounding what a
+// misbehaving server can make the client buffer.
+const remoteMaxBody = 256 << 20
+
+// remoteDoc is one fetched snapshot: the compressed wire document
+// (raw == nil memoizes an absent slot) and, once a Get has touched the
+// slot, its decoded list.
 //
 // Decoding is lazy and memoized separately from the fetch: decode()
 // runs gunzip+parse at most once (sync.Once), so the LRU stores
@@ -172,12 +170,9 @@ type Remote struct {
 // decode. decoded is an atomic flag observers that must not trigger a
 // decode (Corrupt, Refresh) read; decodeOnce alone orders the fields
 // for decode() callers.
-type remoteEntry struct {
-	ready chan struct{} // closed once the fetch settles
-	elem  *list.Element
-	raw   []byte // compressed wire document; nil memoizes absent (404)
-	hash  string // content hash from the wire ETag ("" when not sent)
-	err   error  // transfer failed; entry was uncached
+type remoteDoc struct {
+	raw  []byte // compressed wire document; nil memoizes absent (404)
+	hash string // content hash from the wire ETag ("" when not sent)
 
 	decodeOnce sync.Once
 	decoded    atomic.Bool
@@ -185,25 +180,30 @@ type remoteEntry struct {
 	corrupt    bool // payload arrived but did not decode
 }
 
-// decode lazily decompresses and parses the entry's document, at most
-// once; callers must have observed ready closed. Returns the decoded
-// list (nil for absent or corrupt slots).
-func (e *remoteEntry) decode() *List {
-	e.decodeOnce.Do(func() {
-		if e.raw != nil {
-			if l, err := decodeSnapshotDoc(e.raw); err != nil {
+// decode lazily decompresses and parses the document, at most once.
+// Returns the decoded list (nil for absent or corrupt slots).
+func (d *remoteDoc) decode() *List {
+	d.decodeOnce.Do(func() {
+		if d.raw != nil {
+			if l, err := decodeSnapshotDoc(d.raw); err != nil {
 				// The document transferred intact (the HTTP layer said
 				// 200 and the body completed) but is not a snapshot —
 				// the wire analog of a corrupt file on disk. Final and
 				// memoized, like DiskStore; deliberately not retried.
-				e.corrupt = true
+				d.corrupt = true
 			} else {
-				e.list = l
+				d.list = l
 			}
 		}
-		e.decoded.Store(true)
+		d.decoded.Store(true)
 	})
-	return e.list
+	return d.list
+}
+
+// memoizedNil reports whether the document stands for a nil snapshot
+// the client has already settled: absent, or decoded as corrupt.
+func (d *remoteDoc) memoizedNil() bool {
+	return d.raw == nil || (d.decoded.Load() && d.corrupt)
 }
 
 var _ Source = (*Remote)(nil)
@@ -226,18 +226,7 @@ func WithRemoteHTTPClient(h *http.Client) RemoteOption {
 func WithRemoteCacheSize(n int) RemoteOption {
 	return func(r *Remote) {
 		if n > 0 {
-			r.capacity = n
-		}
-	}
-}
-
-// WithRemoteMaxBodyBytes caps accepted response bodies (default
-// 256 MiB), bounding what a misbehaving server can make the client
-// buffer.
-func WithRemoteMaxBodyBytes(n int64) RemoteOption {
-	return func(r *Remote) {
-		if n > 0 {
-			r.maxBody = n
+			r.cache = cache.New[storeKey, *remoteDoc](n)
 		}
 	}
 }
@@ -280,14 +269,11 @@ func OpenRemote(ctx context.Context, baseURL string, opts ...RemoteOption) (*Rem
 		baseURL:     strings.TrimRight(baseURL, "/"),
 		httpc:       &http.Client{Timeout: 30 * time.Second},
 		base:        ctx,
-		maxBody:     256 << 20,
 		maxAttempts: 4,
 		baseBackoff: 250 * time.Millisecond,
 		jitter:      rand.Float64,
 		known:       make(map[string]bool),
-		cache:       make(map[storeKey]*remoteEntry),
-		order:       list.New(),
-		capacity:    256,
+		cache:       cache.New[storeKey, *remoteDoc](256),
 	}
 	r.sleep = func(ctx context.Context, d time.Duration) error {
 		t := time.NewTimer(d)
@@ -370,7 +356,7 @@ func (r *Remote) revalidate(ctx context.Context, conditional bool) (bool, error)
 		if err := classifyRemoteStatus(req.URL.String(), resp.StatusCode); err != nil {
 			return err
 		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, r.maxBody))
+		raw, err := io.ReadAll(io.LimitReader(resp.Body, remoteMaxBody))
 		if err != nil {
 			return &remoteTransient{err}
 		}
@@ -432,14 +418,9 @@ func (r *Remote) revalidate(ctx context.Context, conditional bool) (bool, error)
 	// DiskStore's memoized decode failure. Present snapshots are
 	// immutable and stay cached (decoded or not); in-flight fetches
 	// settle against their own entry either way.
-	for key, e := range r.cache {
-		select {
-		case <-e.ready:
-			if e.raw == nil || (e.decoded.Load() && e.corrupt) {
-				delete(r.cache, key)
-				r.order.Remove(e.elem)
-			}
-		default:
+	for key, d := range r.cache.All() {
+		if d.memoizedNil() {
+			r.cache.Remove(key)
 		}
 	}
 	return true, nil
@@ -526,11 +507,11 @@ func (r *Remote) Get(provider string, day Day) *List {
 // (connection errors, non-404 error statuses, cancellation) return a
 // non-nil error and are never memoized: the next call retries.
 func (r *Remote) GetContext(ctx context.Context, provider string, day Day) (*List, error) {
-	e, err := r.entryFor(ctx, provider, day)
-	if e == nil || err != nil {
+	d, err := r.docFor(ctx, provider, day)
+	if d == nil || err != nil {
 		return nil, err
 	}
-	return e.decode(), nil
+	return d.decode(), nil
 }
 
 // GetRawContext returns the compressed snapshot document for provider
@@ -542,85 +523,41 @@ func (r *Remote) GetContext(ctx context.Context, provider string, day Day) (*Lis
 // return (nil, nil). The bytes are not validated here — a consumer
 // that stores them must decode-check (PutRaw does).
 func (r *Remote) GetRawContext(ctx context.Context, provider string, day Day) (*RawSnapshot, error) {
-	e, err := r.entryFor(ctx, provider, day)
-	if e == nil || err != nil {
+	d, err := r.docFor(ctx, provider, day)
+	if d == nil || err != nil || d.memoizedNil() {
 		return nil, err
 	}
-	if e.raw == nil || (e.decoded.Load() && e.corrupt) {
-		return nil, nil
-	}
-	return &RawSnapshot{Data: e.raw, Hash: e.hash}, nil
+	return &RawSnapshot{Data: d.raw, Hash: d.hash}, nil
 }
 
-// entryFor returns the settled cache entry for (provider, day),
-// fetching the document if the slot is uncached — the shared
-// single-flight core of GetContext and GetRawContext. A nil entry with
-// nil error means the slot is outside the known range or provider set.
-func (r *Remote) entryFor(ctx context.Context, provider string, day Day) (*remoteEntry, error) {
-	key := storeKey{provider, day}
+// docFor returns the fetched document for (provider, day), fetching it
+// if the slot is uncached — the shared single-flight core of
+// GetContext and GetRawContext. A nil document with nil error means
+// the slot is outside the known range or provider set.
+func (r *Remote) docFor(ctx context.Context, provider string, day Day) (*remoteDoc, error) {
 	for {
 		r.mu.Lock()
-		if day < r.first || day > r.last || !r.known[provider] {
-			r.mu.Unlock()
+		known := day >= r.first && day <= r.last && r.known[provider]
+		r.mu.Unlock()
+		if !known {
 			return nil, nil
 		}
-		if e, ok := r.cache[key]; ok {
-			r.order.MoveToFront(e.elem)
-			r.mu.Unlock()
-			select {
-			case <-e.ready:
-			case <-ctx.Done():
-				return nil, ctx.Err()
+		fetched := false
+		d, err := r.cache.Do(ctx, storeKey{provider, day}, nil, func() (*remoteDoc, error) {
+			fetched = true
+			raw, hash, err := r.fetchSnapshot(ctx, provider, day)
+			if err != nil {
+				return nil, err
 			}
-			if e.err != nil {
-				// The in-flight fetch we piggybacked on failed and was
-				// uncached; fetch with our own context instead of
-				// inheriting a failure we might not share (theirs may
-				// simply have been cancelled).
-				continue
-			}
-			return e, nil
+			return &remoteDoc{raw: raw, hash: hash}, nil
+		})
+		if err != nil && !fetched && ctx.Err() == nil {
+			// The in-flight fetch we joined failed; fetch with our own
+			// context instead of inheriting a failure we might not
+			// share (theirs may simply have been cancelled).
+			continue
 		}
-		e := &remoteEntry{ready: make(chan struct{})}
-		e.elem = r.order.PushFront(key)
-		r.cache[key] = e
-		r.evictLocked()
-		r.mu.Unlock()
-
-		raw, hash, err := r.fetchSnapshot(ctx, provider, day)
-		if err != nil {
-			e.err = err
-			r.mu.Lock()
-			// Only remove our own entry: a concurrent Put-like Refresh
-			// cannot replace entries, but eviction may already have
-			// dropped it.
-			if cur, ok := r.cache[key]; ok && cur == e {
-				delete(r.cache, key)
-				r.order.Remove(e.elem)
-			}
-			r.mu.Unlock()
-			close(e.ready)
-			return nil, err
-		}
-		e.raw, e.hash = raw, hash
-		close(e.ready)
-		return e, nil
-	}
-}
-
-// evictLocked trims the LRU cache to capacity; callers hold r.mu.
-// Evicting an in-flight entry is safe: its waiters hold the entry
-// pointer and still complete against it, the slot just becomes
-// refetchable for later readers.
-func (r *Remote) evictLocked() {
-	for len(r.cache) > r.capacity {
-		back := r.order.Back()
-		if back == nil {
-			return
-		}
-		key := back.Value.(storeKey)
-		r.order.Remove(back)
-		delete(r.cache, key)
+		return d, err
 	}
 }
 
@@ -635,50 +572,43 @@ func (r *Remote) evictLocked() {
 func (r *Remote) Corrupt() []Snapshot {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var found []storeKey
-	for key, e := range r.cache {
-		select {
-		case <-e.ready:
-			if e.decoded.Load() && e.corrupt {
-				found = append(found, key)
-			}
-		default:
+	var found []Snapshot
+	for key, d := range r.cache.All() {
+		if d.decoded.Load() && d.corrupt {
+			found = append(found, Snapshot{Provider: key.provider, Day: key.day})
 		}
 	}
-	return corruptSnapshots(found, r.providers)
+	return SortSnapshots(found, r.providers)
 }
 
-// corruptSnapshots converts the settled-corrupt keys of a snapshot
-// cache into Missing-style stub Snapshots, ordered by provider (in the
-// given order, with unknown providers last, alphabetically) and day
-// ascending. Shared by DiskStore.Corrupt and Remote.Corrupt.
-func corruptSnapshots(found []storeKey, providerOrder []string) []Snapshot {
-	if len(found) == 0 {
+// SortSnapshots orders Missing-style stub Snapshots by provider (in
+// providerOrder, with unknown providers last, alphabetically) and day
+// ascending, sorting snaps in place. It returns nil for an empty
+// listing. DiskStore.Corrupt, Remote.Corrupt and pack.Pack.Corrupt
+// all order their listings with it.
+func SortSnapshots(snaps []Snapshot, providerOrder []string) []Snapshot {
+	if len(snaps) == 0 {
 		return nil
 	}
 	rank := make(map[string]int, len(providerOrder))
 	for i, p := range providerOrder {
 		rank[p] = i
 	}
-	sort.Slice(found, func(i, j int) bool {
-		a, b := found[i], found[j]
-		ra, aok := rank[a.provider]
-		rb, bok := rank[b.provider]
+	sort.Slice(snaps, func(i, j int) bool {
+		a, b := snaps[i], snaps[j]
+		ra, aok := rank[a.Provider]
+		rb, bok := rank[b.Provider]
 		switch {
 		case aok && bok && ra != rb:
 			return ra < rb
 		case aok != bok:
 			return aok // known providers first
-		case !aok && a.provider != b.provider:
-			return a.provider < b.provider
+		case !aok && a.Provider != b.Provider:
+			return a.Provider < b.Provider
 		}
-		return a.day < b.day
+		return a.Day < b.Day
 	})
-	out := make([]Snapshot, len(found))
-	for i, key := range found {
-		out[i] = Snapshot{Provider: key.provider, Day: key.day}
-	}
-	return out
+	return snaps
 }
 
 // RemoteStatusError reports a non-404 HTTP failure from an archive
@@ -731,12 +661,12 @@ func (r *Remote) fetchSnapshot(ctx context.Context, provider string, day Day) ([
 		if err := classifyRemoteStatus(url, resp.StatusCode); err != nil {
 			return err
 		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, r.maxBody+1))
+		data, err := io.ReadAll(io.LimitReader(resp.Body, remoteMaxBody+1))
 		if err != nil {
 			return &remoteTransient{err} // truncated transfer
 		}
-		if int64(len(data)) > r.maxBody {
-			return fmt.Errorf("toplist: GET %s: body exceeds %d bytes", url, r.maxBody)
+		if len(data) > remoteMaxBody {
+			return fmt.Errorf("toplist: GET %s: body exceeds %d bytes", url, remoteMaxBody)
 		}
 		body, hash = data, etagHash(resp.Header.Get("ETag"))
 		return nil
