@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/providers"
 	"repro/internal/toplist"
@@ -131,5 +133,62 @@ func TestColumnsConcurrentUse(t *testing.T) {
 		if g != want {
 			t.Errorf("goroutine %d: concurrent results differ from serial", i)
 		}
+	}
+}
+
+// gatedSource holds the first Get of one slot until a second Get of
+// that slot arrives or 20 ms pass. A reader that joins the first read
+// instead of fetching again leaves the gate to time out.
+type gatedSource struct {
+	toplist.Source
+	gated  slot
+	gets   atomic.Int32
+	second chan struct{}
+}
+
+func (s *gatedSource) Get(provider string, day toplist.Day) *toplist.List {
+	if (slot{provider, day}) == s.gated {
+		switch s.gets.Add(1) {
+		case 1:
+			select {
+			case <-s.second:
+			case <-time.After(20 * time.Millisecond):
+			}
+		case 2:
+			close(s.second)
+		}
+	}
+	return s.Source.Get(provider, day)
+}
+
+// TestColumnsSingleFlight: two analyses that read a slot while its
+// first read is in flight share that read. A scheduler slow enough to
+// start the second reader after the gate times out makes the test pass
+// without exercising the join, never fail.
+func TestColumnsSingleFlight(t *testing.T) {
+	c := ctx(t)
+	src := &gatedSource{Source: nameOnly(t), gated: slot{providers.Alexa, c.Arch.First()}, second: make(chan struct{})}
+	shared := NewContext(c.W, src)
+	var removed []int
+	var row Table2Row
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		removed = shared.DailyRemoved(providers.Alexa, 0)
+	}()
+	go func() {
+		defer wg.Done()
+		row = shared.Table2(providers.Alexa, 0)
+	}()
+	wg.Wait()
+	if n := src.gets.Load(); n != 1 {
+		t.Errorf("the gated slot was fetched %d times, want 1", n)
+	}
+	if want := c.DailyRemoved(providers.Alexa, 0); fmt.Sprint(removed) != fmt.Sprint(want) {
+		t.Errorf("DailyRemoved %v, want %v", removed, want)
+	}
+	if want := c.Table2(providers.Alexa, 0); row != want {
+		t.Errorf("Table2 %+v, want %+v", row, want)
 	}
 }

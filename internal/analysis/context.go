@@ -6,8 +6,10 @@
 package analysis
 
 import (
-	"sync"
+	"context"
+	"errors"
 
+	"repro/internal/cache"
 	"repro/internal/domainname"
 	"repro/internal/population"
 	"repro/internal/toplist"
@@ -21,9 +23,11 @@ import (
 //
 // The ID-based analyses read a (provider, day) slot through its
 // column: the slot's list resolved to world IDs once, on first read,
-// and kept for the Context's lifetime. The column costs 4 bytes per
-// list entry per slot and follows the Study's contract that its archive
-// is fixed: a slot rewritten in a live store is seen by a new Context.
+// and kept for the Context's lifetime. Readers that ask for a slot
+// while it is being resolved wait for that one fill. The column costs
+// 4 bytes per list entry per slot and follows the Study's contract that
+// its archive is fixed: a slot rewritten in a live store is seen by a
+// new Context.
 type Context struct {
 	W    *population.World
 	Arch toplist.Source
@@ -38,8 +42,7 @@ type Context struct {
 	groupOf []uint32
 	groups  []string
 
-	mu      sync.Mutex
-	columns map[slot][]uint32 // never mutated once stored
+	columns *cache.LRU[slot, []uint32] // unbounded; never mutated once filled
 }
 
 type slot struct {
@@ -67,7 +70,7 @@ func NewContext(w *population.World, arch toplist.Source) *Context {
 		W:       w,
 		Arch:    arch,
 		info:    make([]nameInfo, w.Len()),
-		columns: make(map[slot][]uint32),
+		columns: cache.New[slot, []uint32](0),
 	}
 	tldKeys := make(map[string]uint32)
 	baseKeys := make(map[string]uint32)
@@ -150,30 +153,22 @@ func present(ids []uint32) []uint32 {
 	return out
 }
 
+// errAbsent fails a column fill whose Get returned nil, so the slot is
+// not memoized.
+var errAbsent = errors.New("analysis: slot absent")
+
 // column returns the slot's ID column, resolving it on first read; nil
-// when the slot is absent. A nil Get is never stored, so a read that
-// failed for a moment is asked again on the next access. Two readers
-// may resolve the same slot at once; the first column stored wins.
+// when the slot is absent. Concurrent readers of one slot share one
+// Get. A nil Get is never memoized, so a read that failed for a moment
+// is asked again on the next access.
 func (c *Context) column(provider string, day toplist.Day) []uint32 {
-	k := slot{provider, day}
-	c.mu.Lock()
-	col, ok := c.columns[k]
-	c.mu.Unlock()
-	if ok {
-		return col
-	}
-	l := c.Arch.Get(provider, day)
-	if l == nil {
-		return nil
-	}
-	col = c.worldIDs(l)
-	c.mu.Lock()
-	if stored, ok := c.columns[k]; ok {
-		col = stored
-	} else {
-		c.columns[k] = col
-	}
-	c.mu.Unlock()
+	col, _ := c.columns.Do(context.Background(), slot{provider, day}, nil, func() ([]uint32, error) {
+		l := c.Arch.Get(provider, day)
+		if l == nil {
+			return nil, errAbsent
+		}
+		return c.worldIDs(l), nil
+	})
 	return col
 }
 
@@ -193,16 +188,4 @@ func cut(col []uint32, top int) []uint32 {
 func (c *Context) ids(provider string, day toplist.Day, top int) (ids []uint32, n int) {
 	col := cut(c.column(provider, day), top)
 	return present(col), len(col)
-}
-
-// baseKeySet returns the set of unique base-domain keys in the
-// provider's subset on day — the paper's base-domain normalisation for
-// intersections (§5.2).
-func (c *Context) baseKeySet(provider string, day toplist.Day, top int) map[uint32]struct{} {
-	ids, _ := c.ids(provider, day, top)
-	out := make(map[uint32]struct{}, len(ids))
-	for _, id := range ids {
-		out[c.info[id].baseKey] = struct{}{}
-	}
-	return out
 }

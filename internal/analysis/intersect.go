@@ -15,34 +15,51 @@ type IntersectionPoint struct {
 
 // IntersectionSeries computes Fig. 1a over the archive for the three
 // standard providers at the given subset size (0 = full list).
+//
+// No per-day set is built: each day sets one bit per list on the base
+// keys the list holds, counts the keys by bit pattern, and clears the
+// bits of the keys it touched.
 func (c *Context) IntersectionSeries(alexa, umbrella, majestic string, top int) []IntersectionPoint {
+	const inA, inU, inM = 1, 2, 4
+	in := make([]uint8, len(c.groupOf)) // by base key
+	var touched []uint32
 	var out []IntersectionPoint
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		a := c.baseKeySet(alexa, d, top)
-		u := c.baseKeySet(umbrella, d, top)
-		m := c.baseKeySet(majestic, d, top)
-		p := IntersectionPoint{
-			Day:           d,
-			AlexaBases:    len(a),
-			UmbrellaBases: len(u),
-			MajBase:       len(m),
-		}
-		for k := range a {
-			_, inU := u[k]
-			_, inM := m[k]
-			if inU {
-				p.AlexaUmbrella++
-			}
-			if inM {
-				p.AlexaMajestic++
-			}
-			if inU && inM {
-				p.AllThree++
+		for _, l := range []struct {
+			provider string
+			bit      uint8
+		}{{alexa, inA}, {umbrella, inU}, {majestic, inM}} {
+			for _, id := range cut(c.column(l.provider, d), top) {
+				if id == noID {
+					continue
+				}
+				k := c.info[id].baseKey
+				if in[k] == 0 {
+					touched = append(touched, k)
+				}
+				in[k] |= l.bit
 			}
 		}
-		for k := range u {
-			if _, inM := m[k]; inM {
-				p.UmbrellaMajestic++
+		var byBits [8]int
+		for _, k := range touched {
+			byBits[in[k]]++
+			in[k] = 0
+		}
+		touched = touched[:0]
+		p := IntersectionPoint{Day: d}
+		// Each count takes the keys held by at least the lists in want.
+		for _, f := range []struct {
+			want  uint8
+			count *int
+		}{
+			{inA, &p.AlexaBases}, {inU, &p.UmbrellaBases}, {inM, &p.MajBase},
+			{inA | inU, &p.AlexaUmbrella}, {inA | inM, &p.AlexaMajestic},
+			{inU | inM, &p.UmbrellaMajestic}, {inA | inU | inM, &p.AllThree},
+		} {
+			for bits, n := range byBits {
+				if uint8(bits)&f.want == f.want {
+					*f.count += n
+				}
 			}
 		}
 		out = append(out, p)

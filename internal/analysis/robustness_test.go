@@ -15,22 +15,7 @@ func TestIncompleteArchive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	arch := toplist.NewArchive(0, 9)
-	names := make([]string, 50)
-	ids := make([]uint32, 50)
-	for i := range names {
-		names[i] = w.Domains[i].Name
-		ids[i] = uint32(i)
-	}
-	l := toplist.NewWithIDs(names, ids)
-	// Only even days present for "gappy"; day 3 missing entirely for
-	// the paired provider.
-	for d := toplist.Day(0); d <= 9; d += 2 {
-		if err := arch.Put("gappy", d, l); err != nil {
-			t.Fatal(err)
-		}
-	}
-	c := NewContext(w, arch)
+	c := NewContext(w, gappyArchive(t, w))
 
 	row := c.Table2("gappy", 0)
 	if row.TLDMean <= 0 {
@@ -53,6 +38,27 @@ func TestIncompleteArchive(t *testing.T) {
 	}
 	_ = c.CumulativeUnique("absent", 0)
 	_, _ = c.KSWeekendDistances("gappy", 0, 100)
+}
+
+// gappyArchive is a ten-day archive whose "gappy" provider holds the
+// same 50 world records on even days only.
+func gappyArchive(t *testing.T, w *population.World) *toplist.Archive {
+	t.Helper()
+	arch := toplist.NewArchive(0, 9)
+	names := make([]string, 50)
+	ids := make([]uint32, 50)
+	for i := range names {
+		names[i] = w.Domains[i].Name
+		ids[i] = uint32(i)
+	}
+	l := toplist.NewWithIDs(names, ids)
+	// Odd days are absent; so is every other provider.
+	for d := toplist.Day(0); d <= 9; d += 2 {
+		if err := arch.Put("gappy", d, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return arch
 }
 
 // TestTable4MissingAlexa exercises the nil-day0 guard.

@@ -8,17 +8,34 @@ import (
 )
 
 // DailyRemoved returns Fig. 1b's series: the count of domains present
-// on day n but absent on day n+1, for each consecutive day pair.
+// on day n but absent on day n+1, for each consecutive day pair. An
+// absent slot counts as an empty list.
+//
+// seen holds each ID's last day present, so a day's count is the
+// previous day's distinct IDs less those seen again; no per-day set is
+// built.
 func (c *Context) DailyRemoved(provider string, top int) []int {
 	var out []int
-	var prev stats.IDSet
+	seen := make([]int32, c.W.Len())
+	prevDistinct := 0
+	day := int32(0)
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		ids, _ := c.ids(provider, d, top)
-		cur := stats.NewIDSet(ids)
-		if prev != nil {
-			out = append(out, prev.RemovedCount(cur))
+		day++
+		distinct, kept := 0, 0
+		for _, id := range cut(c.column(provider, d), top) {
+			if id == noID || seen[id] == day {
+				continue
+			}
+			if seen[id] == day-1 {
+				kept++
+			}
+			seen[id] = day
+			distinct++
 		}
-		prev = cur
+		if day > 1 {
+			out = append(out, prevDistinct-kept)
+		}
+		prevDistinct = distinct
 	})
 	return out
 }

@@ -23,10 +23,13 @@ type rankMatrix struct {
 // down-sampling admits domains by a hash filter during the build (so
 // memory stays bounded even when the ever-seen union is many times the
 // list size) and trims to the exact cap afterwards.
+//
+// The series live back to back in one array, found through a per-ID
+// row index, so the build allocates no per-domain series and needs no
+// sort to visit domains in ID order.
 func (c *Context) buildRankMatrix(provider string, top, maxDomains int) *rankMatrix {
 	days := c.Arch.Days()
 	m := &rankMatrix{days: days}
-	ranks := make(map[uint32][]int32)
 	admitThreshold := uint32(0xFFFFFFFF)
 	if _, size := c.ids(provider, c.Arch.First(), top); maxDomains > 0 && size > 0 {
 		// The ever-seen union is typically a small multiple of the list
@@ -44,34 +47,43 @@ func (c *Context) buildRankMatrix(provider string, top, maxDomains int) *rankMat
 		h ^= h >> 13
 		return h <= admitThreshold
 	}
+	row := make([]int32, c.W.Len()) // 1 + the ID's row in ranks; 0 for none
+	var ranks []int32               // rows of days entries
+	rows := 0
 	day := 0
 	toplist.EachDay(c.Arch, func(d toplist.Day) {
-		ids, n := c.ids(provider, d, top)
+		col := cut(c.column(provider, d), top)
 		if m.size == 0 {
-			m.size = n
+			m.size = len(col)
 		}
-		for rank, id := range ids {
+		// rank counts world entries only, as the present IDs of the cut.
+		rank := int32(0)
+		for _, id := range col {
+			if id == noID {
+				continue
+			}
+			rank++
 			if !admit(id) {
 				continue
 			}
-			s, ok := ranks[id]
-			if !ok {
-				s = make([]int32, days)
+			if row[id] == 0 {
 				sentinel := int32(2 * m.size)
-				for i := range s {
-					s[i] = sentinel
+				for range days {
+					ranks = append(ranks, sentinel)
 				}
-				ranks[id] = s
+				rows++
+				row[id] = int32(rows)
 			}
-			s[day] = int32(rank + 1)
+			ranks[int(row[id]-1)*days+day] = rank
 		}
 		day++
 	})
-	ids := make([]uint32, 0, len(ranks))
-	for id := range ranks {
-		ids = append(ids, id)
+	ids := make([]uint32, 0, rows)
+	for id, r := range row {
+		if r != 0 {
+			ids = append(ids, uint32(id))
+		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	if maxDomains > 0 && len(ids) > maxDomains {
 		keep := make([]uint32, maxDomains)
 		step := float64(len(ids)) / float64(maxDomains)
@@ -82,7 +94,8 @@ func (c *Context) buildRankMatrix(provider string, top, maxDomains int) *rankMat
 	}
 	m.series = make([][]int32, len(ids))
 	for i, id := range ids {
-		m.series[i] = ranks[id]
+		lo := int(row[id]-1) * days
+		m.series[i] = ranks[lo : lo+days]
 	}
 	return m
 }
@@ -111,9 +124,13 @@ func (c *Context) KSWeekendDistances(provider string, top, maxDomains int) (week
 		}
 		return out
 	}
+	// The sample buffers are reused across domains: KSDistance copies
+	// its inputs.
+	var wd, we []float64
+	var halves [2][]float64
 	for _, series := range m.series {
-		var wd, we []float64
-		var halves [2][]float64
+		wd, we = wd[:0], we[:0]
+		halves[0], halves[1] = halves[0][:0], halves[1][:0]
 		for d, r := range series {
 			switch {
 			case r == sentinel:

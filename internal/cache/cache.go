@@ -1,8 +1,9 @@
 // Package cache is the single-flight LRU behind every snapshot, blob,
-// chunk and validator cache in the repository: DiskStore's read cache,
-// toplist.Remote's snapshot cache, the blob caches of the archived and
-// listserv servers, the pack reader's decode cache, its HTTP Range
-// chunk cache, and the listserv client's ETag cache.
+// chunk, column and validator cache in the repository: DiskStore's
+// read cache, toplist.Remote's snapshot cache, the blob caches of the
+// archived and listserv servers, the pack reader's decode cache, its
+// HTTP Range chunk cache, the listserv client's ETag cache, and the ID
+// columns of analysis.Context.
 //
 // The policy is fixed, with no knobs:
 //

@@ -160,7 +160,7 @@ func RunContext(ctx context.Context, s Scale, tee toplist.SnapshotSink) (*Study,
 // src), but no simulation runs — the engine is never invoked, and src
 // (typically a toplist.DiskStore reopened with toplist.OpenArchive)
 // serves every snapshot read. This is how analyses resume from disk
-// instead of resimulating.
+// instead of resimulating. src must cover the scale's days from day 0.
 func RunFrom(s Scale, src toplist.Source) (*Study, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
@@ -170,6 +170,11 @@ func RunFrom(s Scale, src toplist.Source) (*Study, error) {
 	}
 	if got, want := src.Days(), s.Population.Days; got != want {
 		return nil, fmt.Errorf("core: archive covers %d days but scale %q simulates %d", got, s.Name, want)
+	}
+	// The world, the Alexa change day and the analyses count days from
+	// day 0, so an archive that starts later would be misread.
+	if first := src.First(); first != 0 {
+		return nil, fmt.Errorf("core: archive starts on day %d (%v); a study starts on day 0 (%v)", int(first), first, toplist.Day(0))
 	}
 	w, err := population.Build(s.Population)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/providers"
@@ -69,5 +70,37 @@ func TestRunRejectsBadScale(t *testing.T) {
 	bad.ListSize = 5
 	if _, err := Run(bad); err == nil {
 		t.Fatal("bad scale should fail")
+	}
+}
+
+// TestRunFromRejectsShiftedArchive: an archive of the right length
+// that does not start on day 0 is refused, naming its first day; the
+// same lists from day 0 are accepted.
+func TestRunFromRejectsShiftedArchive(t *testing.T) {
+	s := TestScale()
+	s.Population.Days = 20
+	s.BurnInDays = 30
+	st, err := Run(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const shift = 7
+	shifted := toplist.NewArchive(shift, toplist.Day(shift+s.Population.Days-1))
+	for _, p := range st.Providers() {
+		toplist.EachDay(st.Archive, func(d toplist.Day) {
+			if err := shifted.Put(p, d+shift, st.Archive.Get(p, d)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	_, err = RunFrom(s, shifted)
+	if err == nil {
+		t.Fatal("RunFrom accepted an archive starting on day 7")
+	}
+	if want := toplist.Day(shift).String(); !strings.Contains(err.Error(), "day 7") || !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name day 7 (%s)", err, want)
+	}
+	if _, err := RunFrom(s, st.Archive); err != nil {
+		t.Fatalf("RunFrom refused the day-0 archive: %v", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/measure"
+	"repro/internal/parallel"
 	"repro/internal/stats"
 	"repro/internal/toplist"
 )
@@ -55,11 +56,11 @@ func runTable5(e *Env) (*Result, error) {
 			days = append(days, d)
 		}
 	}
-	type cell struct{ mean, std float64 }
 	type column struct {
-		name string
-		head bool
-		m    map[string][]float64
+		name     string
+		provider string
+		head     bool
+		m        map[string][]float64
 	}
 	metricNames := []string{"NXDOMAIN", "IPv6-enabled", "CAA-enabled", "CNAMEs",
 		"CDNs (via CNAME)", "Unique AS IPv4", "Unique AS IPv6", "Top 5 AS share",
@@ -76,17 +77,19 @@ func runTable5(e *Env) (*Result, error) {
 			if head {
 				label = fmt.Sprintf("%s head(%d)", p, st.Scale.HeadSize)
 			}
-			c := &column{name: label, head: head, m: map[string][]float64{}}
-			for _, day := range days {
-				met, err := measureList(e, p, day, head)
-				if err != nil {
-					return nil, err
-				}
-				for i, v := range extract(met) {
-					c.m[metricNames[i]] = append(c.m[metricNames[i]], v)
-				}
-			}
-			cols = append(cols, c)
+			cols = append(cols, &column{name: label, provider: p, head: head, m: map[string][]float64{}})
+		}
+	}
+	// One measurement per (column, day), each independent of the others.
+	mets := make([]measure.Metrics, len(cols)*len(days))
+	parallel.Each(len(mets), func(i int) {
+		c, day := cols[i/len(days)], days[i%len(days)]
+		mets[i] = st.Campaign.Measure(st.ListNames(c.provider, day, c.head), day)
+	})
+	for i, met := range mets {
+		c := cols[i/len(days)]
+		for mi, v := range extract(met) {
+			c.m[metricNames[mi]] = append(c.m[metricNames[mi]], v)
 		}
 	}
 	// Population column (measured once; it changes slowly).

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/parallel"
 	"repro/internal/providers"
 )
 
@@ -39,11 +40,19 @@ func runTable2(e *Env) (*Result, error) {
 			f1(row.Delta), f1(row.New),
 		})
 	}
-	for _, p := range st.Providers() {
-		addRow(st.Analysis.Table2(p, 0))
-	}
-	for _, p := range st.Providers() {
-		addRow(st.Analysis.Table2(p, st.Scale.HeadSize))
+	// Full lists first: their calls resolve the columns the head rows
+	// reuse, so they should start first.
+	ps := st.Providers()
+	rows := make([]analysis.Table2Row, 2*len(ps))
+	parallel.Each(len(rows), func(i int) {
+		top := 0
+		if i >= len(ps) {
+			top = st.Scale.HeadSize
+		}
+		rows[i] = st.Analysis.Table2(ps[i%len(ps)], top)
+	})
+	for _, row := range rows {
+		addRow(row)
 	}
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"list size %d, head %d, %d days; counts scale with list size (paper: 1M/1k over 333 days)",

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/analysis"
+	"repro/internal/parallel"
 	"repro/internal/providers"
 	"repro/internal/stats"
 )
@@ -26,32 +27,37 @@ func runFig3a(e *Env) (*Result, error) {
 		Paper:  "Fig. 3a: ~35% of Alexa 1M and >15% of Umbrella 1M domains at KS distance 1; Majestic near 0; weekday-vs-weekday baseline <0.05 for 90% of domains",
 		Header: []string{"list", "top", "mean KS", "P(KS=1)", "P(KS<0.05)", "baseline mean KS"},
 	}
-	for _, top := range []int{0, st.Scale.HeadSize} {
-		for _, p := range st.Providers() {
-			ds, base := st.Analysis.KSWeekendDistances(p, top, ksSample)
-			ones, small := 0, 0
-			for _, v := range ds {
-				if v == 1 {
-					ones++
-				}
-				if v < 0.05 {
-					small++
-				}
+	tops := []int{0, st.Scale.HeadSize}
+	ps := st.Providers()
+	type sample struct{ ds, base []float64 }
+	samples := make([]sample, len(tops)*len(ps))
+	parallel.Each(len(samples), func(i int) {
+		s := &samples[i]
+		s.ds, s.base = st.Analysis.KSWeekendDistances(ps[i%len(ps)], tops[i/len(ps)], ksSample)
+	})
+	for i, s := range samples {
+		ones, small := 0, 0
+		for _, v := range s.ds {
+			if v == 1 {
+				ones++
 			}
-			n := float64(len(ds))
-			if n == 0 {
-				n = 1
+			if v < 0.05 {
+				small++
 			}
-			label := "full"
-			if top > 0 {
-				label = d(top)
-			}
-			res.Rows = append(res.Rows, []string{
-				p, label, f3(stats.Mean(ds)),
-				pct(float64(ones) / n), pct(float64(small) / n),
-				f3(stats.Mean(base)),
-			})
 		}
+		n := float64(len(s.ds))
+		if n == 0 {
+			n = 1
+		}
+		label := "full"
+		if top := tops[i/len(ps)]; top > 0 {
+			label = d(top)
+		}
+		res.Rows = append(res.Rows, []string{
+			ps[i%len(ps)], label, f3(stats.Mean(s.ds)),
+			pct(float64(ones) / n), pct(float64(small) / n),
+			f3(stats.Mean(s.base)),
+		})
 	}
 	return res, nil
 }

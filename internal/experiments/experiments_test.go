@@ -2,11 +2,13 @@ package experiments
 
 import (
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/toplist"
 )
 
 var (
@@ -154,5 +156,52 @@ func TestEnvStudyMemoised(t *testing.T) {
 	s2, _ := e.Study()
 	if s1 != s2 {
 		t.Fatal("study rebuilt")
+	}
+}
+
+// nameOnlySource copies the shared study's archive with the IDs
+// stripped, as a DiskStore, pack or Remote decodes it.
+func nameOnlySource(t *testing.T) toplist.Source {
+	t.Helper()
+	st, err := env(t).Study()
+	if err != nil {
+		t.Fatal(err)
+	}
+	arch := toplist.NewArchive(st.Archive.First(), st.Archive.Last())
+	for _, p := range st.Archive.Providers() {
+		toplist.EachDay(st.Archive, func(d toplist.Day) {
+			if l := st.Archive.Get(p, d); l != nil {
+				if err := arch.Put(p, d, toplist.New(l.Names())); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	return arch
+}
+
+// TestFanOutDriversRenderAlike: the drivers that fan their calls out
+// over GOMAXPROCS, and the ones sharing their columns, render the same
+// bytes on one core and on four, each from a fresh study over a
+// name-only source.
+func TestFanOutDriversRenderAlike(t *testing.T) {
+	src := nameOnlySource(t)
+	old := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+	render := func(procs int) string {
+		runtime.GOMAXPROCS(procs)
+		e := NewEnvFrom(core.TestScale(), src)
+		var b strings.Builder
+		for _, id := range []string{"table2", "fig1a", "fig1b", "fig3a", "fig4", "table5"} {
+			res, err := Run(context.Background(), e, id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.WriteString(res.Render())
+		}
+		return b.String()
+	}
+	if one, four := render(1), render(4); one != four {
+		t.Fatalf("renders differ between GOMAXPROCS 1 and 4:\n%s\n---\n%s", one, four)
 	}
 }

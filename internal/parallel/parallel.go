@@ -1,14 +1,16 @@
 // Package parallel provides the small deterministic fan-out primitives
 // the concurrent simulation engine is built from: contiguous range
-// sharding (For), independent task groups (Do), and fail-fast stage
-// groups for pipelines (Group). Shard boundaries depend only on
-// (workers, n), never on scheduling, so callers that merge per-shard
-// partial results in shard order get run-to-run deterministic output.
+// sharding (For), independent task groups (Do), fail-fast stage
+// groups for pipelines (Group), and an indexed work queue (Each).
+// Shard boundaries depend only on (workers, n), never on scheduling,
+// so callers that merge per-shard partial results in shard order get
+// run-to-run deterministic output.
 package parallel
 
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a worker-count knob: values < 1 mean "use
@@ -196,5 +198,41 @@ func Do(tasks ...func()) {
 		}()
 	}
 	tasks[0]()
+	wg.Wait()
+}
+
+// Each runs fn(i) for every i in [0, n) and returns when all calls are
+// done. min(GOMAXPROCS, n) goroutines, the caller's among them, take
+// indexes in order until none are left, so the calls that start first
+// are the low indexes; with one worker every call runs inline in index
+// order. Callers that write only their own index's result get output
+// independent of scheduling.
+func Each(n int, fn func(i int)) {
+	workers := min(runtime.GOMAXPROCS(0), n)
+	if workers <= 1 {
+		for i := range n {
+			fn(i)
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
+			fn(i)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for range workers - 1 {
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
 	wg.Wait()
 }

@@ -3,6 +3,7 @@ package parallel
 import (
 	"errors"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 )
@@ -168,5 +169,58 @@ func TestSplit(t *testing.T) {
 		if c.total > 1 && stepW+rankW > c.total {
 			t.Errorf("Split(%d, ...) oversubscribes: %d + %d", c.total, stepW, rankW)
 		}
+	}
+}
+
+// setProcs sets GOMAXPROCS for the rest of the test.
+func setProcs(t *testing.T, n int) {
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
+// TestEachRunsEveryIndexOnce: every index runs exactly once, whatever
+// the worker count.
+func TestEachRunsEveryIndexOnce(t *testing.T) {
+	for _, procs := range []int{1, 2, 4, 16} {
+		setProcs(t, procs)
+		for _, n := range []int{1, 2, 3, 7, 100} {
+			counts := make([]atomic.Int32, n)
+			Each(n, func(i int) { counts[i].Add(1) })
+			for i := range counts {
+				if c := counts[i].Load(); c != 1 {
+					t.Fatalf("GOMAXPROCS %d, n %d: index %d ran %d times", procs, n, i, c)
+				}
+			}
+		}
+	}
+}
+
+// TestEachSerialIsInline: with one worker the calls run on the caller's
+// goroutine, in index order.
+func TestEachSerialIsInline(t *testing.T) {
+	setProcs(t, 1)
+	var order []int
+	buf := make([]byte, 64<<10)
+	Each(5, func(i int) {
+		order = append(order, i)
+		if stack := string(buf[:runtime.Stack(buf, false)]); !strings.Contains(stack, "TestEachSerialIsInline") {
+			t.Errorf("call %d ran off the caller's goroutine:\n%s", i, stack)
+		}
+	})
+	for i, got := range order {
+		if got != i {
+			t.Fatalf("serial order %v, want 0..4", order)
+		}
+	}
+	if len(order) != 5 {
+		t.Fatalf("ran %d calls, want 5", len(order))
+	}
+}
+
+// TestEachEmpty: n <= 0 calls nothing.
+func TestEachEmpty(t *testing.T) {
+	setProcs(t, 4)
+	for _, n := range []int{0, -1} {
+		Each(n, func(i int) { t.Errorf("Each(%d) called fn(%d)", n, i) })
 	}
 }

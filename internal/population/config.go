@@ -1,6 +1,9 @@
 package population
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Config controls world generation. The zero value is not usable; start
 // from DefaultConfig or TestConfig.
@@ -107,4 +110,40 @@ func (c Config) Validate() error {
 		return fmt.Errorf("population: CategoryMix sums to %v, want 1", sum)
 	}
 	return nil
+}
+
+// subdomainRate returns the Poisson mean of a base record's subdomain
+// count and whether the record may also get a www. name. The generator
+// gives junk bases no subdomains, whatever their rate.
+func (c Config) subdomainRate(cat Category) (mean float64, www bool) {
+	mean = c.SubdomainMean
+	switch cat {
+	case CatTracker, CatCDNAsset, CatMobile:
+		mean *= 4
+	case CatIoT, CatGhost:
+		mean *= 2
+	case CatWeb, CatLeisure, CatMedia, CatShopping, CatWork:
+		www = true
+	}
+	return mean, www
+}
+
+// expectedRecords estimates a world's record count from the config:
+// every base record plus its expected subdomains under the category
+// mix, with a little headroom, so the record array and the name
+// indexes are sized once.
+func (c Config) expectedRecords() int {
+	perBase := 1.0
+	for cat, p := range c.CategoryMix {
+		if Category(cat) == CatJunk {
+			continue
+		}
+		mean, www := c.subdomainRate(Category(cat))
+		if www {
+			mean += 0.5
+		}
+		perBase += p * mean
+	}
+	n := float64(c.Sites+c.BirthsPerDay*(c.Days-1)) * perBase
+	return int(n + 4*math.Sqrt(n))
 }

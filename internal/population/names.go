@@ -63,8 +63,10 @@ var serviceLabels = []string{
 	"metrics", "ads", "track", "pixel", "sync", "edge", "push",
 }
 
-func newNameGen(r *rng.Rand) *nameGen {
-	g := &nameGen{r: r, seen: make(map[string]struct{})}
+// newNameGen returns a generator whose uniqueness index is sized for
+// about size names.
+func newNameGen(r *rng.Rand, size int) *nameGen {
+	g := &nameGen{r: r, seen: make(map[string]struct{}, size)}
 	weights := make([]float64, 0, len(tldMix))
 	g.tldz = make([]string, 0, len(tldMix))
 	for _, e := range tldMix {
@@ -91,18 +93,19 @@ func (g *nameGen) brandLabel() string {
 }
 
 // baseDomain returns a fresh base domain (eTLD+1), unique across the
-// generator's lifetime.
-func (g *nameGen) baseDomain() string {
+// generator's lifetime, parsed.
+func (g *nameGen) baseDomain() domainname.Name {
 	for {
 		name := g.brandLabel() + "." + g.tldz[g.tlds.Next()]
 		if _, dup := g.seen[name]; dup {
 			continue
 		}
-		if _, err := domainname.Parse(name); err != nil {
+		pn, err := domainname.Parse(name)
+		if err != nil {
 			continue
 		}
 		g.seen[name] = struct{}{}
-		return name
+		return pn
 	}
 }
 
@@ -141,9 +144,10 @@ func (g *nameGen) platformName(label, suffix string) string {
 }
 
 // subdomainOf returns a subdomain of base at the given extra depth
-// (>=1): depth 1 uses a service label, deeper names chain random
-// labels. Uniqueness is guaranteed by suffixing a counter on collision.
-func (g *nameGen) subdomainOf(base string, depth int) string {
+// (>=1), parsed: depth 1 uses a service label, deeper names chain
+// random labels. Uniqueness is guaranteed by suffixing a counter on
+// collision.
+func (g *nameGen) subdomainOf(base string, depth int) domainname.Name {
 	for attempt := 0; ; attempt++ {
 		var labels []string
 		labels = append(labels, serviceLabels[g.r.Intn(len(serviceLabels))])
@@ -162,11 +166,12 @@ func (g *nameGen) subdomainOf(base string, depth int) string {
 		if _, dup := g.seen[name]; dup {
 			continue
 		}
-		if _, err := domainname.Parse(name); err != nil {
+		pn, err := domainname.Parse(name)
+		if err != nil {
 			continue
 		}
 		g.seen[name] = struct{}{}
-		return name
+		return pn
 	}
 }
 

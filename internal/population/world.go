@@ -119,25 +119,28 @@ func Build(cfg Config) (*World, error) {
 		return nil, err
 	}
 	root := rng.New(cfg.Seed)
+	records := cfg.expectedRecords()
 	w := &World{
 		Cfg:    cfg,
 		ASes:   simnet.NewASRegistry(cfg.SmallASes),
 		CDNs:   simnet.NewCDNRegistry(),
-		byName: make(map[string]uint32),
+		byName: make(map[string]uint32, records),
 	}
 	w.Routes = simnet.NewRouteTableFromRegistry(w.ASes)
 
-	gen := newNameGen(root.Derive("names"))
+	gen := newNameGen(root.Derive("names"), records)
 	catAlias := rng.NewAlias(root.Derive("cats"), cfg.CategoryMix[:])
 
 	// --- Base domains -------------------------------------------------
 	births := cfg.BirthsPerDay * (cfg.Days - 1)
 	nBase := cfg.Sites + births
 	type baseSpec struct {
-		name     string
-		cat      Category
-		birth    int32
-		platform bool
+		name  string
+		cat   Category
+		birth int32
+		// parsed is the generator's parse of a brand domain; platform
+		// and junk names are parsed below.
+		parsed domainname.Name
 	}
 	specs := make([]baseSpec, 0, nBase)
 	// Platform user sites replace part of the day-0 site budget.
@@ -146,31 +149,24 @@ func Build(cfg Config) (*World, error) {
 		n := int(p.users * float64(cfg.Sites))
 		platformUsers += n
 		for i := 0; i < n; i++ {
-			name := gen.platformName(p.label, p.suffix)
-			specs = append(specs, baseSpec{name: name, cat: p.category, platform: true})
+			specs = append(specs, baseSpec{name: gen.platformName(p.label, p.suffix), cat: p.category})
 		}
 	}
-	for i := platformUsers; i < cfg.Sites; i++ {
-		cat := Category(catAlias.Next())
-		var name string
+	// site draws a fresh base record of category cat born on birth.
+	site := func(cat Category, birth int32) baseSpec {
 		if cat == CatJunk {
-			name = gen.junkName()
-		} else {
-			name = gen.baseDomain()
+			return baseSpec{name: gen.junkName(), cat: cat, birth: birth}
 		}
-		specs = append(specs, baseSpec{name: name, cat: cat})
+		pn := gen.baseDomain()
+		return baseSpec{name: pn.FQDN, cat: cat, birth: birth, parsed: pn}
+	}
+	for i := platformUsers; i < cfg.Sites; i++ {
+		specs = append(specs, site(Category(catAlias.Next()), 0))
 	}
 	// Newborns, spread uniformly over days 1..Days-1.
 	for d := 1; d < cfg.Days; d++ {
 		for i := 0; i < cfg.BirthsPerDay; i++ {
-			cat := Category(catAlias.Next())
-			var name string
-			if cat == CatJunk {
-				name = gen.junkName()
-			} else {
-				name = gen.baseDomain()
-			}
-			specs = append(specs, baseSpec{name: name, cat: cat, birth: int32(d)})
+			specs = append(specs, site(Category(catAlias.Next()), int32(d)))
 		}
 	}
 	nBase = len(specs)
@@ -181,7 +177,7 @@ func Build(cfg Config) (*World, error) {
 	lifeR := root.Derive("life")
 	trendR := root.Derive("trend")
 
-	w.Domains = make([]Domain, 0, nBase+nBase/2)
+	w.Domains = make([]Domain, 0, records)
 	for i, sp := range specs {
 		g := rng.ZipfWeight(perm[i]+1, cfg.ZipfExponent)
 		ax := categoryAxis[sp.cat]
@@ -198,9 +194,12 @@ func Build(cfg Config) (*World, error) {
 			VolMul:        popR.Range(0.6, 1.4),
 			Seed:          popR.Uint64(),
 		}
-		pn, err := domainname.Parse(sp.name)
-		if err != nil {
-			return nil, fmt.Errorf("population: generated bad name %q: %v", sp.name, err)
+		pn := sp.parsed
+		if pn.FQDN == "" {
+			var err error
+			if pn, err = domainname.Parse(sp.name); err != nil {
+				return nil, fmt.Errorf("population: generated bad name %q: %v", sp.name, err)
+			}
 		}
 		d.Base = pn.FQDN
 		if pn.Base != "" {
@@ -365,20 +364,10 @@ func (w *World) generateSubdomains(gen *nameGen, r *rng.Rand) {
 		if parent.Category == CatJunk {
 			continue
 		}
-		mean := w.Cfg.SubdomainMean
-		switch parent.Category {
-		case CatTracker, CatCDNAsset, CatMobile:
-			mean *= 4
-		case CatIoT, CatGhost:
-			mean *= 2
-		}
+		mean, www := w.Cfg.subdomainRate(parent.Category)
 		nSub := r.Poisson(mean)
-		if parent.Category == CatWeb || parent.Category == CatLeisure ||
-			parent.Category == CatMedia || parent.Category == CatShopping ||
-			parent.Category == CatWork {
-			if r.Bool(0.5) {
-				nSub++ // a www. name
-			}
+		if www && r.Bool(0.5) {
+			nSub++ // a www. name
 		}
 		if nSub == 0 {
 			continue
@@ -396,22 +385,20 @@ func (w *World) generateSubdomains(gen *nameGen, r *rng.Rand) {
 			default:
 				depth = 4 + r.Intn(5)
 			}
-			var name string
 			if s == 0 && depth == 1 && r.Bool(0.6) {
-				name = "www." + parent.Name
-				if _, dup := w.byName[name]; dup {
-					name = gen.subdomainOf(parent.Name, depth)
+				name := "www." + parent.Name
+				if _, dup := w.byName[name]; !dup {
+					w.addSubdomainName(name, bid, &parent, r)
+					continue
 				}
-			} else {
-				name = gen.subdomainOf(parent.Name, depth)
 			}
-			w.addSubdomain(name, bid, &parent, r)
+			w.addSubdomain(gen.subdomainOf(parent.Name, depth), bid, &parent, r)
 		}
 	}
 	if bestPop > 0 {
 		parent := w.Domains[bestTracker]
 		name := gen.oidChain(parent.Name, 33)
-		w.addSubdomain(name, bestTracker, &parent, r)
+		w.addSubdomainName(name, bestTracker, &parent, r)
 		if id, ok := w.byName[name]; ok {
 			// Give the chain a solid share of the tracker's resolution
 			// volume so it ranks the way the paper observed.
@@ -420,12 +407,19 @@ func (w *World) generateSubdomains(gen *nameGen, r *rng.Rand) {
 	}
 }
 
-func (w *World) addSubdomain(name string, bid uint32, parent *Domain, r *rng.Rand) {
-	if _, dup := w.byName[name]; dup {
-		return
+// addSubdomainName is addSubdomain for a name the generator did not
+// parse; a name that does not parse is skipped.
+func (w *World) addSubdomainName(name string, bid uint32, parent *Domain, r *rng.Rand) {
+	if pn, err := domainname.Parse(name); err == nil {
+		w.addSubdomain(pn, bid, parent, r)
 	}
-	pn, err := domainname.Parse(name)
-	if err != nil {
+}
+
+// addSubdomain attaches the record pn under base bid, unless the world
+// already has the name.
+func (w *World) addSubdomain(pn domainname.Name, bid uint32, parent *Domain, r *rng.Rand) {
+	name := pn.FQDN
+	if _, dup := w.byName[name]; dup {
 		return
 	}
 	// Service subdomains (api., tracking beacons, mail hosts, …) often
