@@ -129,11 +129,11 @@ func (c *Context) worldIDs(l *toplist.List) []uint32 {
 		}
 		return ids
 	}
-	// Lists decoded from snapshot documents carry names only.
-	names := l.Names()
-	out := make([]uint32, len(names))
-	for i, name := range names {
-		id, ok := c.W.IDByName(name)
+	// Lists decoded from snapshot documents carry names only; read
+	// them in place rather than through a copy of the name slice.
+	out := make([]uint32, l.Len())
+	for i := range out {
+		id, ok := c.W.IDByName(l.Name(i + 1))
 		if !ok {
 			id = noID
 		}

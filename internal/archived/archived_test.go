@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -642,6 +643,51 @@ func TestRemoteGivesUpAfterRetryBudget(t *testing.T) {
 	l, err := remote.GetContext(context.Background(), "alexa", 0)
 	if err != nil || l == nil {
 		t.Fatalf("recovered fetch: list=%v err=%v", l != nil, err)
+	}
+}
+
+// TestRemoteBodyLengths: a snapshot body that ends short of its
+// declared Content-Length is a truncated transfer and is retried, and a
+// body sent without a declared length (chunked) is read whole.
+func TestRemoteBodyLengths(t *testing.T) {
+	ds := testStore(t)
+	raw, err := ds.GetRaw("alexa", 0)
+	if err != nil || raw == nil {
+		t.Fatalf("GetRaw: %v %v", raw, err)
+	}
+	inner := NewServer(ds)
+	path := toplist.RemoteSnapshotPath("alexa", 0)
+	var hits atomic.Int32
+	h := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != path {
+			inner.ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Content-Encoding", "gzip")
+		if hits.Add(1) == 1 {
+			w.Header().Set("Content-Length", fmt.Sprint(len(raw.Data)))
+			w.Write(raw.Data[:len(raw.Data)/2]) //nolint:errcheck
+			return
+		}
+		w.(http.Flusher).Flush() // headers out before the body: chunked
+		w.Write(raw.Data)        //nolint:errcheck
+	})
+	ts := httptest.NewServer(h)
+	t.Cleanup(ts.Close)
+	remote, err := toplist.OpenRemote(context.Background(), ts.URL,
+		toplist.WithRemoteBaseBackoff(time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+	l, err := remote.GetContext(context.Background(), "alexa", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ds.Get("alexa", 0); l == nil || !slices.Equal(l.Names(), want.Names()) {
+		t.Fatalf("read %v, want %v", l, want)
+	}
+	if n := hits.Load(); n != 2 {
+		t.Fatalf("server hit %d times, want 2 (truncated transfer + chunked retry)", n)
 	}
 }
 

@@ -398,12 +398,15 @@ func Decode(data []byte, format Format) (*toplist.List, error) {
 	case FormatCSV:
 		return toplist.ReadCSV(bytes.NewReader(data))
 	case FormatGzip:
-		zr, err := gzip.NewReader(bytes.NewReader(data))
+		l, err := toplist.DecodeSnapshot(data)
 		if err != nil {
-			return nil, fmt.Errorf("listserv: gzip: %w", err)
+			// Name the format when the payload is not gzip at all: a
+			// header that does not parse is the error's cause.
+			if _, herr := gzip.NewReader(bytes.NewReader(data)); herr != nil {
+				return nil, fmt.Errorf("listserv: gzip: %w", herr)
+			}
 		}
-		defer zr.Close()
-		return toplist.ReadCSV(zr)
+		return l, err
 	case FormatZip:
 		zr, err := zip.NewReader(bytes.NewReader(data), int64(len(data)))
 		if err != nil {

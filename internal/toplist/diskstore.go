@@ -306,7 +306,7 @@ func (ds *DiskStore) Put(provider string, day Day, l *List) error {
 // disk). The document is decoded once for validation before anything
 // is written, so a corrupted transfer can never enter the store.
 func (ds *DiskStore) PutRaw(provider string, day Day, data []byte) error {
-	if _, err := decodeSnapshotDoc(data); err != nil {
+	if _, err := DecodeSnapshot(data); err != nil {
 		return fmt.Errorf("toplist: raw snapshot for %s %v does not decode: %w", provider, day, err)
 	}
 	return ds.store(provider, day, func(path string) (string, error) {
@@ -434,17 +434,11 @@ func (ds *DiskStore) Get(provider string, day Day) *List {
 }
 
 func (ds *DiskStore) readSnapshot(path string) (*List, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	zr, err := gzip.NewReader(f)
-	if err != nil {
-		return nil, err
-	}
-	defer zr.Close()
-	return ReadCSV(zr)
+	return DecodeSnapshot(data)
 }
 
 // RawHash returns the content hash persisted for provider on day at
@@ -630,7 +624,7 @@ func (ds *DiskStore) verifySlot(key storeKey) {
 		ds.memoizeCorrupt(key, hash)
 		return
 	}
-	if _, err := decodeSnapshotDoc(data); err != nil {
+	if _, err := DecodeSnapshot(data); err != nil {
 		ds.memoizeCorrupt(key, hash)
 	}
 }

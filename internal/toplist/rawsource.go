@@ -52,15 +52,6 @@ type RawSource interface {
 	GetRaw(provider string, day Day) (*RawSnapshot, error)
 }
 
-// DecodeSnapshot decodes one stored snapshot document — the gzip CSV
-// bytes a RawSnapshot carries — back into a List. It is the exact
-// decode Get runs on a stored file and PutRaw runs for validation;
-// blob backends (internal/pack) use it so "does this document decode"
-// has one definition everywhere bytes are trusted.
-func DecodeSnapshot(data []byte) (*List, error) {
-	return decodeSnapshotDoc(data)
-}
-
 // ContentHash returns the hex content hash of a stored snapshot
 // document: the first 16 bytes of its SHA-256. It is persisted in the
 // DiskStore manifest at Put time and, quoted, is the wire ETag — the

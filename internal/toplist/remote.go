@@ -1,8 +1,6 @@
 package toplist
 
 import (
-	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -185,7 +183,7 @@ type remoteDoc struct {
 func (d *remoteDoc) decode() *List {
 	d.decodeOnce.Do(func() {
 		if d.raw != nil {
-			if l, err := decodeSnapshotDoc(d.raw); err != nil {
+			if l, err := DecodeSnapshot(d.raw); err != nil {
 				// The document transferred intact (the HTTP layer said
 				// 200 and the body completed) but is not a snapshot —
 				// the wire analog of a corrupt file on disk. Final and
@@ -661,7 +659,7 @@ func (r *Remote) fetchSnapshot(ctx context.Context, provider string, day Day) ([
 		if err := classifyRemoteStatus(url, resp.StatusCode); err != nil {
 			return err
 		}
-		data, err := io.ReadAll(io.LimitReader(resp.Body, remoteMaxBody+1))
+		data, err := readBody(resp)
 		if err != nil {
 			return &remoteTransient{err} // truncated transfer
 		}
@@ -675,6 +673,22 @@ func (r *Remote) fetchSnapshot(ctx context.Context, provider string, day Day) ([
 		return nil, "", err
 	}
 	return body, hash, nil
+}
+
+// readBody reads a snapshot body of at most remoteMaxBody+1 bytes. A
+// declared length within the cap (the archive server always sends one)
+// sizes the buffer exactly — the LRU keeps it, so growth slack would
+// be kept too; a body shorter than declared fails like any truncated
+// transfer.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= remoteMaxBody {
+		data := make([]byte, n)
+		if _, err := io.ReadFull(resp.Body, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	}
+	return io.ReadAll(io.LimitReader(resp.Body, remoteMaxBody+1))
 }
 
 // etagHash extracts the bare content hash from a wire ETag ("" when
@@ -755,16 +769,6 @@ func (r *Remote) retry(ctx context.Context, op func() error) error {
 		}
 		backoff *= 2
 	}
-}
-
-// decodeSnapshotDoc decodes one wire snapshot document (gzip CSV).
-func decodeSnapshotDoc(data []byte) (*List, error) {
-	zr, err := gzip.NewReader(bytes.NewReader(data))
-	if err != nil {
-		return nil, err
-	}
-	defer zr.Close()
-	return ReadCSV(zr)
 }
 
 // drainBody consumes and closes a response body so the underlying
