@@ -19,6 +19,7 @@ import (
 	"repro/internal/archived"
 	"repro/internal/engine"
 	"repro/internal/fleet"
+	"repro/internal/httpx"
 	"repro/internal/listserv"
 	"repro/internal/population"
 	"repro/internal/providers"
@@ -50,7 +51,7 @@ func quiet() *log.Logger { return log.New(io.Discard, "", 0) }
 func peerSet(t *testing.T, urls ...string) *fleet.PeerSet {
 	t.Helper()
 	ps, err := fleet.NewPeerSet(urls,
-		fleet.WithPeerRemoteOptions(toplist.WithRemoteMaxAttempts(2), toplist.WithRemoteBaseBackoff(time.Millisecond)))
+		fleet.WithPeerRemoteOptions(toplist.WithRemoteRetry(httpx.Policy{Attempts: 2, Base: time.Millisecond, Max: time.Millisecond})))
 	if err != nil {
 		t.Fatal(err)
 	}

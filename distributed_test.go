@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/httpx"
 	"repro/internal/shard"
 	"repro/internal/toplist"
 )
@@ -152,7 +153,7 @@ func TestDistributedKillReassign(t *testing.T) {
 
 	urls, srvs := startShardWorkers(t, 2)
 	_, eng, coord, err := core.NewDistributedEngine(scale, urls,
-		shard.WithCoordinatorRetry(2, time.Millisecond, 5*time.Millisecond))
+		shard.WithCoordinatorRetry(httpx.Policy{Attempts: 2, Base: time.Millisecond, Max: 5 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

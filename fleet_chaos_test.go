@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/httpx"
 	"repro/internal/toplist"
 )
 
@@ -53,10 +54,7 @@ func (g *chaosGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func fastPeerOpts() []PeerOption {
 	return []PeerOption{
 		WithPeerBackoff(time.Hour, time.Hour),
-		WithPeerRemoteOptions(
-			toplist.WithRemoteMaxAttempts(1),
-			toplist.WithRemoteBaseBackoff(time.Millisecond),
-		),
+		WithPeerRemoteOptions(toplist.WithRemoteRetry(httpx.Policy{Attempts: 1})),
 	}
 }
 

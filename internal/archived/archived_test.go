@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/listserv"
 	"repro/internal/toplist"
 )
@@ -590,7 +591,7 @@ func TestRemoteRetriesTransientFailures(t *testing.T) {
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	remote, err := toplist.OpenRemote(context.Background(), ts.URL,
-		toplist.WithRemoteBaseBackoff(time.Millisecond))
+		toplist.WithRemoteRetry(httpx.Policy{Attempts: 4, Base: time.Millisecond, Max: 4 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,8 +628,7 @@ func TestRemoteGivesUpAfterRetryBudget(t *testing.T) {
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	remote, err := toplist.OpenRemote(context.Background(), ts.URL,
-		toplist.WithRemoteBaseBackoff(time.Millisecond),
-		toplist.WithRemoteMaxAttempts(2))
+		toplist.WithRemoteRetry(httpx.Policy{Attempts: 2, Base: time.Millisecond, Max: time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -675,7 +675,7 @@ func TestRemoteBodyLengths(t *testing.T) {
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	remote, err := toplist.OpenRemote(context.Background(), ts.URL,
-		toplist.WithRemoteBaseBackoff(time.Millisecond))
+		toplist.WithRemoteRetry(httpx.Policy{Attempts: 4, Base: time.Millisecond, Max: 4 * time.Millisecond}))
 	if err != nil {
 		t.Fatal(err)
 	}

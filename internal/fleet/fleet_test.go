@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/archived"
+	"repro/internal/httpx"
 	"repro/internal/toplist"
 )
 
@@ -64,7 +65,7 @@ func testPeerSet(t *testing.T, urls ...string) *PeerSet {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ps.jitter = func() float64 { return 0.5 } // backoff = exactly base<<n
+	ps.backoff.Jitter = func() float64 { return 0.5 } // backoff = exactly base<<n
 	return ps
 }
 
@@ -318,7 +319,7 @@ func TestMirrorSurvivesDeadPeer(t *testing.T) {
 	local := emptyStore(t, 2)
 	ps := testPeerSet(t, deadURL, tsLive.URL)
 	// Fast retries so the dead peer's open fails quickly.
-	ps.remoteOpts = append(ps.remoteOpts, toplist.WithRemoteMaxAttempts(1))
+	ps.remoteOpts = append(ps.remoteOpts, toplist.WithRemoteRetry(httpx.Policy{Attempts: 1}))
 	m := NewMirror(local, ps)
 	ctx := context.Background()
 	m.SyncOnce(ctx)

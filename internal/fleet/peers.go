@@ -16,11 +16,11 @@ package fleet
 import (
 	"context"
 	"errors"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/toplist"
 )
 
@@ -69,11 +69,6 @@ func (p *Peer) Remote(ctx context.Context) (*toplist.Remote, error) {
 	return rem, nil
 }
 
-// fail records one failed interaction: the consecutive-failure count
-// grows and the peer enters jittered exponential backoff
-// (base<<(failures-1), capped, ±50% decorrelation — the same shape the
-// wire client uses between retries, applied here between whole
-// conversations).
 // MarkFailed records an externally observed failure against the peer,
 // advancing its backoff exactly as the set's own fetch path would. The
 // shard coordinator uses it to fold worker-RPC outcomes into the same
@@ -84,6 +79,10 @@ func (p *Peer) MarkFailed() { p.fail() }
 // failure count and backoff window. Counterpart of MarkFailed.
 func (p *Peer) MarkOK() { p.ok() }
 
+// fail records one failed interaction: the consecutive-failure count
+// grows and the peer is benched for the set's backoff Delay — the wait
+// the wire clients use between retries, applied here between whole
+// conversations.
 func (p *Peer) fail() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -92,12 +91,7 @@ func (p *Peer) fail() {
 
 func (p *Peer) failLocked() {
 	p.failures++
-	d := p.set.baseBackoff << (p.failures - 1)
-	if d > p.set.maxBackoff || d <= 0 { // <=0: shift overflow
-		d = p.set.maxBackoff
-	}
-	d = time.Duration(float64(d) * (0.5 + p.set.jitter()))
-	p.until = p.set.now().Add(d)
+	p.until = p.set.now().Add(p.set.backoff.Delay(p.failures))
 	if p.set.onFail != nil {
 		p.set.onFail(p.url)
 	}
@@ -125,13 +119,11 @@ func (p *Peer) available(now time.Time) bool {
 // PeerSet is a fixed set of archive-server peers with per-peer health
 // tracking. It is safe for concurrent use.
 type PeerSet struct {
-	peers       []*Peer
-	baseBackoff time.Duration
-	maxBackoff  time.Duration
-	jitter      func() float64
-	now         func() time.Time
-	remoteOpts  []toplist.RemoteOption
-	onFail      func(url string) // Mirror's failure counter hook
+	peers      []*Peer
+	backoff    httpx.Policy // only Base, Max and Jitter apply
+	now        func() time.Time
+	remoteOpts []toplist.RemoteOption
+	onFail     func(url string) // Mirror's failure counter hook
 }
 
 // PeerOption configures NewPeerSet.
@@ -143,10 +135,10 @@ type PeerOption func(*PeerSet)
 func WithPeerBackoff(base, max time.Duration) PeerOption {
 	return func(ps *PeerSet) {
 		if base > 0 {
-			ps.baseBackoff = base
+			ps.backoff.Base = base
 		}
 		if max > 0 {
-			ps.maxBackoff = max
+			ps.backoff.Max = max
 		}
 	}
 }
@@ -162,10 +154,8 @@ func WithPeerRemoteOptions(opts ...toplist.RemoteOption) PeerOption {
 // mirror from is a configuration error worth failing loudly.
 func NewPeerSet(urls []string, opts ...PeerOption) (*PeerSet, error) {
 	ps := &PeerSet{
-		baseBackoff: time.Second,
-		maxBackoff:  2 * time.Minute,
-		jitter:      rand.Float64,
-		now:         time.Now,
+		backoff: httpx.Policy{Base: time.Second, Max: 2 * time.Minute},
+		now:     time.Now,
 	}
 	for _, o := range opts {
 		o(ps)
@@ -289,6 +279,6 @@ func (ps *PeerSet) FetchRaw(ctx context.Context, provider string, day toplist.Da
 // isCorruptRefusal reports whether err is an archive server refusing a
 // corrupt slot (the raw fast path's plain 500 — final by protocol).
 func isCorruptRefusal(err error) bool {
-	var se *toplist.RemoteStatusError
+	var se *httpx.StatusError
 	return errors.As(err, &se) && se.Code == http.StatusInternalServerError
 }

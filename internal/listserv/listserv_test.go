@@ -10,12 +10,12 @@ import (
 	"net/http/httptest"
 	"reflect"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/toplist"
 )
 
@@ -43,8 +43,11 @@ func sameList(a, b *toplist.List) bool {
 	return a != nil && b != nil && reflect.DeepEqual(a.Names(), b.Names())
 }
 
-func instantSleep() ClientOption {
-	return withSleep(func(ctx context.Context, d time.Duration) error { return ctx.Err() })
+// instantClient is NewClient with backoff sleeps that return at once.
+func instantClient(baseURL string, opts ...ClientOption) *Client {
+	c := NewClient(baseURL, opts...)
+	c.retry.Sleep = func(ctx context.Context, d time.Duration) error { return ctx.Err() }
+	return c
 }
 
 func TestEncodeDecodeRoundTrip(t *testing.T) {
@@ -131,7 +134,7 @@ func TestServerIndex(t *testing.T) {
 	ts := httptest.NewServer(NewServer(arch))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, instantSleep())
+	c := instantClient(ts.URL)
 	idx, err := c.Index(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -151,7 +154,7 @@ func TestServerServesEveryFormat(t *testing.T) {
 	defer ts.Close()
 
 	for _, f := range sortedFormats() {
-		c := NewClient(ts.URL, WithFormat(f), instantSleep())
+		c := instantClient(ts.URL, WithFormat(f))
 		got, err := c.FetchDay(context.Background(), "alexa", 1)
 		if err != nil {
 			t.Fatalf("FetchDay(%v): %v", f, err)
@@ -168,7 +171,7 @@ func TestServerLatestFollowsGatekeeper(t *testing.T) {
 	ts := httptest.NewServer(NewServerAt(gk))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, instantSleep())
+	c := instantClient(ts.URL)
 	ctx := context.Background()
 
 	got, err := c.FetchLatest(ctx, "alexa")
@@ -295,7 +298,7 @@ func TestClientETagCacheAvoidsRedownload(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, WithFormat(FormatCSV), instantSleep())
+	c := instantClient(ts.URL, WithFormat(FormatCSV))
 	ctx := context.Background()
 	first, err := c.FetchDay(ctx, "alexa", 0)
 	if err != nil {
@@ -345,7 +348,7 @@ func TestClientETagCacheIsBounded(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, WithFormat(FormatCSV), instantSleep())
+	c := instantClient(ts.URL, WithFormat(FormatCSV))
 	ctx := context.Background()
 	var newest *toplist.List
 	for d := 0; d < days; d++ {
@@ -394,17 +397,11 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	defer ts.Close()
 
 	var delays []time.Duration
-	var mu sync.Mutex
-	c := NewClient(ts.URL,
-		WithFormat(FormatCSV),
-		WithMaxAttempts(4),
-		WithBaseBackoff(100*time.Millisecond),
-		withSleep(func(ctx context.Context, d time.Duration) error {
-			mu.Lock()
-			delays = append(delays, d)
-			mu.Unlock()
-			return ctx.Err()
-		}))
+	c := NewClient(ts.URL, WithFormat(FormatCSV))
+	c.retry.Sleep = func(ctx context.Context, d time.Duration) error {
+		delays = append(delays, d)
+		return ctx.Err()
+	}
 	got, err := c.FetchDay(context.Background(), "alexa", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -415,32 +412,49 @@ func TestClientRetriesTransientFailures(t *testing.T) {
 	if len(delays) != 2 {
 		t.Fatalf("sleeps = %d, want 2", len(delays))
 	}
-	// Jittered exponential backoff: attempt 2 base 100ms (50–150ms),
-	// attempt 3 base 200ms (100–300ms).
-	if delays[0] < 50*time.Millisecond || delays[0] > 150*time.Millisecond {
-		t.Errorf("delay[0] = %v outside jitter window", delays[0])
-	}
-	if delays[1] < 100*time.Millisecond || delays[1] > 300*time.Millisecond {
-		t.Errorf("delay[1] = %v outside jitter window", delays[1])
-	}
 }
 
 func TestClientGivesUpAfterMaxAttempts(t *testing.T) {
 	arch := testArchive(t, 1)
-	ts := httptest.NewServer(flakyHandler(100, http.StatusInternalServerError, NewServer(arch)))
+	ts := httptest.NewServer(flakyHandler(100, http.StatusServiceUnavailable, NewServer(arch)))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, WithFormat(FormatCSV), WithMaxAttempts(3), instantSleep())
+	c := instantClient(ts.URL, WithFormat(FormatCSV))
+	c.retry.Attempts = 3
 	_, err := c.FetchDay(context.Background(), "alexa", 0)
 	if err == nil {
 		t.Fatal("want error after exhausting attempts")
 	}
-	var se *StatusError
-	if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
-		t.Fatalf("err = %v, want wrapped 500 StatusError", err)
+	var se *httpx.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusServiceUnavailable {
+		t.Fatalf("err = %v, want wrapped 503 StatusError", err)
 	}
 	if !strings.Contains(err.Error(), "3 attempts") {
 		t.Errorf("err = %v, want attempt count", err)
+	}
+}
+
+// TestClientDoesNotRetry500: the servers here send a plain 500 only
+// for deterministic failures, so one request settles it.
+func TestClientDoesNotRetry500(t *testing.T) {
+	arch := testArchive(t, 1)
+	var hits atomic.Int64
+	flaky := flakyHandler(100, http.StatusInternalServerError, NewServer(arch))
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		hits.Add(1)
+		flaky.ServeHTTP(w, r)
+	}))
+	defer ts.Close()
+
+	c := instantClient(ts.URL, WithFormat(FormatCSV))
+	c.retry.Attempts = 3
+	_, err := c.FetchDay(context.Background(), "alexa", 0)
+	var se *httpx.StatusError
+	if !errors.As(err, &se) || se.Code != http.StatusInternalServerError {
+		t.Fatalf("err = %v, want a 500 StatusError", err)
+	}
+	if hits.Load() != 1 {
+		t.Fatalf("requests = %d, want exactly 1 (no retries on 500)", hits.Load())
 	}
 }
 
@@ -454,7 +468,8 @@ func TestClientDoesNotRetry404(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, WithFormat(FormatCSV), WithMaxAttempts(5), instantSleep())
+	c := instantClient(ts.URL, WithFormat(FormatCSV))
+	c.retry.Attempts = 5
 	_, err := c.FetchDay(context.Background(), "nosuch", 0)
 	if !IsNotFound(err) {
 		t.Fatalf("err = %v, want 404", err)
@@ -478,7 +493,7 @@ func TestClientRetriesCorruptBody(t *testing.T) {
 	}))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, WithFormat(FormatCSV), instantSleep())
+	c := instantClient(ts.URL, WithFormat(FormatCSV))
 	got, err := c.FetchDay(context.Background(), "alexa", 0)
 	if err != nil {
 		t.Fatal(err)
@@ -496,7 +511,9 @@ func TestClientBodyLimit(t *testing.T) {
 	ts := httptest.NewServer(NewServer(arch))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, WithFormat(FormatCSV), WithMaxBodyBytes(16), WithMaxAttempts(1), instantSleep())
+	c := instantClient(ts.URL, WithFormat(FormatCSV))
+	c.maxBody = 16
+	c.retry.Attempts = 1
 	if _, err := c.FetchDay(context.Background(), "alexa", 0); err == nil {
 		t.Fatal("want error for oversized body")
 	}
@@ -508,11 +525,12 @@ func TestClientContextCancellation(t *testing.T) {
 	defer ts.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
-	c := NewClient(ts.URL, WithFormat(FormatCSV), WithMaxAttempts(10),
-		withSleep(func(ctx context.Context, d time.Duration) error {
-			cancel() // cancel during the first backoff
-			return ctx.Err()
-		}))
+	c := NewClient(ts.URL, WithFormat(FormatCSV))
+	c.retry.Attempts = 10
+	c.retry.Sleep = func(ctx context.Context, d time.Duration) error {
+		cancel() // cancel during the first backoff
+		return ctx.Err()
+	}
 	_, err := c.FetchDay(ctx, "alexa", 0)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -527,7 +545,7 @@ func TestMirrorCollectRebuildsArchive(t *testing.T) {
 	ts := httptest.NewServer(NewServer(arch))
 	defer ts.Close()
 
-	c := NewClient(ts.URL, instantSleep())
+	c := instantClient(ts.URL)
 	m := NewMirror(c, []string{"alexa", "umbrella", "majestic"})
 	got, err := m.Collect(context.Background(), 0, 5)
 	if err != nil {
@@ -562,7 +580,7 @@ func TestMirrorRecordsGaps(t *testing.T) {
 	ts := httptest.NewServer(NewServer(arch))
 	defer ts.Close()
 
-	m := NewMirror(NewClient(ts.URL, instantSleep()), []string{"alexa", "umbrella"})
+	m := NewMirror(instantClient(ts.URL), []string{"alexa", "umbrella"})
 	got, err := m.Collect(context.Background(), 0, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -582,10 +600,12 @@ func TestMirrorRecordsGaps(t *testing.T) {
 
 func TestMirrorAbortsOnPersistentError(t *testing.T) {
 	arch := testArchive(t, 2)
-	ts := httptest.NewServer(flakyHandler(1000, http.StatusInternalServerError, NewServer(arch)))
+	ts := httptest.NewServer(flakyHandler(1000, http.StatusServiceUnavailable, NewServer(arch)))
 	defer ts.Close()
 
-	m := NewMirror(NewClient(ts.URL, WithMaxAttempts(2), instantSleep()), []string{"alexa"})
+	c := instantClient(ts.URL)
+	c.retry.Attempts = 2
+	m := NewMirror(c, []string{"alexa"})
 	if _, err := m.Collect(context.Background(), 0, 1); err == nil {
 		t.Fatal("want error from persistent outage")
 	}
@@ -614,7 +634,7 @@ func TestMirrorFollowsLivePublisher(t *testing.T) {
 	defer ts.Close()
 
 	providers := []string{"alexa", "umbrella", "majestic"}
-	m := NewMirror(NewClient(ts.URL, instantSleep()), providers)
+	m := NewMirror(instantClient(ts.URL), providers)
 	collect := func(d toplist.Day, wantFull int) {
 		t.Helper()
 		requests.Store(0)

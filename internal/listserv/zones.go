@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"sort"
 	"sync"
 
+	"repro/internal/httpx"
 	"repro/internal/simnet"
 	"repro/internal/toplist"
 )
@@ -118,22 +118,26 @@ func ZonePath(tld string) string { return "/v1/zones/" + tld + ".zone" }
 func (c *Client) FetchZone(ctx context.Context, tld string) ([]string, error) {
 	url := c.baseURL + ZonePath(tld)
 	var domains []string
-	err := c.retry(ctx, func() error {
+	err := c.retry.Do(ctx, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
 			return err
 		}
 		resp, err := c.httpc.Do(req)
 		if err != nil {
-			return &transientError{err}
+			return httpx.Transient(err)
 		}
-		defer drain(resp.Body)
-		if err := classifyStatus(url, resp.StatusCode); err != nil {
+		defer httpx.Drain(resp.Body)
+		if err := httpx.CheckStatus(url, resp.StatusCode); err != nil {
 			return err
 		}
-		origin, ds, err := simnet.ParseZone(io.LimitReader(resp.Body, c.maxBody))
+		data, err := httpx.ReadBody(resp, c.maxBody)
 		if err != nil {
-			return &transientError{err}
+			return err
+		}
+		origin, ds, err := simnet.ParseZone(bytes.NewReader(data))
+		if err != nil {
+			return httpx.Transient(err)
 		}
 		if origin != tld {
 			return fmt.Errorf("listserv: zone origin %q, requested %q", origin, tld)

@@ -24,7 +24,7 @@ func zoneServer(t *testing.T) (*httptest.Server, StaticZones) {
 
 func TestFetchZoneRoundTrip(t *testing.T) {
 	ts, zones := zoneServer(t)
-	c := NewClient(ts.URL, instantSleep())
+	c := instantClient(ts.URL)
 	ctx := context.Background()
 
 	got, err := c.FetchZone(ctx, "com")
@@ -48,7 +48,7 @@ func TestFetchZoneRoundTrip(t *testing.T) {
 
 func TestFetchZoneEmptyZone(t *testing.T) {
 	ts, _ := zoneServer(t)
-	c := NewClient(ts.URL, instantSleep())
+	c := instantClient(ts.URL)
 	got, err := c.FetchZone(context.Background(), "org")
 	if err != nil {
 		t.Fatal(err)
@@ -60,9 +60,20 @@ func TestFetchZoneEmptyZone(t *testing.T) {
 
 func TestFetchZoneUnknownTLD(t *testing.T) {
 	ts, _ := zoneServer(t)
-	c := NewClient(ts.URL, instantSleep())
+	c := instantClient(ts.URL)
 	if _, err := c.FetchZone(context.Background(), "dev"); !IsNotFound(err) {
 		t.Fatalf("err = %v, want 404", err)
+	}
+}
+
+// TestFetchZoneBodyLimit: a zone past the client's body limit is
+// refused, not parsed as a shorter zone.
+func TestFetchZoneBodyLimit(t *testing.T) {
+	ts, _ := zoneServer(t)
+	c := instantClient(ts.URL)
+	c.maxBody = 64
+	if got, err := c.FetchZone(context.Background(), "com"); err == nil {
+		t.Fatalf("zone past the limit read as %v, want an error", got)
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"strconv"
 	"strings"
@@ -13,15 +12,16 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/httpx"
 )
 
 // This file is the remote blob backend: an io.ReaderAt over HTTP Range
 // requests, which makes any static file server — nginx in front of a
 // disk, an object store, http.FileServer in a test — an archive
-// backend, because pack.Open only ever asks for byte ranges. It
-// borrows toplist.Remote's transport discipline wholesale: transient
-// failures (connection errors, 502/503/504, 429, truncated bodies) are
-// retried with jittered exponential backoff; everything else is final.
+// backend, because pack.Open only ever asks for byte ranges. Its
+// requests retry under internal/httpx's policy: connection errors,
+// 502/503/504, 429 and truncated bodies are transient; everything else
+// is final.
 //
 // Two problems are specific to range-reading one large file:
 //
@@ -60,60 +60,17 @@ var ErrChangedMidRead = errors.New("pack: remote file changed mid-read")
 // a ranged request more than once.
 var errRangeIgnored = errors.New("pack: server ignores Range requests")
 
-// httpOptions are the HTTPRangeReaderAt knobs, folded into the shared
-// Option set.
-type httpOptions struct {
-	client      *http.Client
-	maxAttempts int
-	baseBackoff time.Duration
-	jitter      func() float64
-	sleep       func(context.Context, time.Duration) error
-}
+// Option configures OpenURL and NewHTTPRangeReaderAt.
+type Option func(*options)
 
-func defaultHTTPOptions() httpOptions {
-	return httpOptions{
-		client:      &http.Client{Timeout: 30 * time.Second},
-		maxAttempts: 4,
-		baseBackoff: 250 * time.Millisecond,
-		jitter:      rand.Float64,
-		sleep: func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
-		},
-	}
+type options struct {
+	client *http.Client
 }
 
 // WithHTTPClient substitutes the *http.Client used for range requests
 // (timeouts, transports, test doubles).
 func WithHTTPClient(c *http.Client) Option {
-	return func(o *options) { o.http.client = c }
-}
-
-// WithMaxAttempts bounds the tries per range request (default 4);
-// transient failures are retried with jittered exponential backoff,
-// mirroring toplist.Remote.
-func WithMaxAttempts(n int) Option {
-	return func(o *options) {
-		if n > 0 {
-			o.http.maxAttempts = n
-		}
-	}
-}
-
-// WithBaseBackoff sets the first retry delay (default 250ms; doubled
-// per attempt with ±50% jitter).
-func WithBaseBackoff(d time.Duration) Option {
-	return func(o *options) {
-		if d > 0 {
-			o.http.baseBackoff = d
-		}
-	}
+	return func(o *options) { o.client = c }
 }
 
 // defaultChunkSize is the aligned fetch granularity small reads are
@@ -127,12 +84,13 @@ const (
 // HTTPRangeReaderAt reads a remote file through HTTP Range requests —
 // the blob backend that turns any static file server into a pack
 // archive store. It is safe for concurrent ReadAt calls; see the file
-// comment for the transport discipline.
+// comment for its retries and range guards.
 type HTTPRangeReaderAt struct {
-	url  string
-	ctx  context.Context
-	opt  httpOptions
-	size int64
+	url    string
+	ctx    context.Context
+	client *http.Client
+	retry  httpx.Policy // httpx.Default; tests shrink it
+	size   int64
 	// validator is the If-Range guard captured at open: the ETag when
 	// the server sent one, else its Last-Modified, else "" (no guard —
 	// per-slot hashes remain the backstop).
@@ -149,11 +107,15 @@ type HTTPRangeReaderAt struct {
 // size and validator, and returns a ReaderAt over it. ctx bounds the
 // probe and every later ReadAt issued through the returned reader.
 func NewHTTPRangeReaderAt(ctx context.Context, url string, opts ...Option) (*HTTPRangeReaderAt, error) {
-	o := buildOptions(opts)
+	o := options{client: &http.Client{Timeout: 30 * time.Second}}
+	for _, fn := range opts {
+		fn(&o)
+	}
 	h := &HTTPRangeReaderAt{
 		url:       url,
 		ctx:       ctx,
-		opt:       o.http,
+		client:    o.client,
+		retry:     httpx.Default,
 		chunkSize: defaultChunkSize,
 		chunks:    cache.New[int64, []byte](chunkCacheSize),
 	}
@@ -171,17 +133,17 @@ func (h *HTTPRangeReaderAt) URL() string { return h.url }
 
 // probe learns the file's size and validator.
 func (h *HTTPRangeReaderAt) probe(ctx context.Context) error {
-	err := h.retry(ctx, func() error {
+	err := h.retry.Do(ctx, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodHead, h.url, nil)
 		if err != nil {
 			return err
 		}
-		resp, err := h.opt.client.Do(req)
+		resp, err := h.client.Do(req)
 		if err != nil {
-			return &transientError{err}
+			return httpx.Transient(err)
 		}
-		defer drainClose(resp.Body)
-		if err := classifyStatus(h.url, resp.StatusCode); err != nil {
+		defer httpx.Drain(resp.Body)
+		if err := httpx.CheckStatus(h.url, resp.StatusCode); err != nil {
 			return err
 		}
 		if resp.ContentLength < 0 {
@@ -196,7 +158,7 @@ func (h *HTTPRangeReaderAt) probe(ctx context.Context) error {
 		err = h.probeRange(ctx)
 	}
 	// Servers that reject HEAD outright (405/501) also fall back.
-	var se *StatusError
+	var se *httpx.StatusError
 	if errors.As(err, &se) && (se.Code == http.StatusMethodNotAllowed || se.Code == http.StatusNotImplemented) {
 		err = h.probeRange(ctx)
 	}
@@ -209,17 +171,17 @@ func (h *HTTPRangeReaderAt) probe(ctx context.Context) error {
 // probeRange sizes the file with a one-byte range GET, for servers
 // whose HEAD responses carry no length.
 func (h *HTTPRangeReaderAt) probeRange(ctx context.Context) error {
-	return h.retry(ctx, func() error {
+	return h.retry.Do(ctx, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.url, nil)
 		if err != nil {
 			return err
 		}
 		req.Header.Set("Range", "bytes=0-0")
-		resp, err := h.opt.client.Do(req)
+		resp, err := h.client.Do(req)
 		if err != nil {
-			return &transientError{err}
+			return httpx.Transient(err)
 		}
-		defer drainClose(resp.Body)
+		defer httpx.Drain(resp.Body)
 		switch resp.StatusCode {
 		case http.StatusPartialContent:
 			total, ok := contentRangeTotal(resp.Header.Get("Content-Range"))
@@ -233,7 +195,7 @@ func (h *HTTPRangeReaderAt) probeRange(ctx context.Context) error {
 			}
 			h.size = resp.ContentLength
 		default:
-			return classifyStatus(h.url, resp.StatusCode)
+			return httpx.CheckStatus(h.url, resp.StatusCode)
 		}
 		h.adoptValidator(resp)
 		return nil
@@ -312,7 +274,7 @@ func (h *HTTPRangeReaderAt) fetchRange(ctx context.Context, buf []byte, off int6
 	if len(buf) == 0 {
 		return nil
 	}
-	return h.retry(ctx, func() error {
+	return h.retry.Do(ctx, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, h.url, nil)
 		if err != nil {
 			return err
@@ -321,11 +283,11 @@ func (h *HTTPRangeReaderAt) fetchRange(ctx context.Context, buf []byte, off int6
 		if h.validator != "" {
 			req.Header.Set("If-Range", h.validator)
 		}
-		resp, err := h.opt.client.Do(req)
+		resp, err := h.client.Do(req)
 		if err != nil {
-			return &transientError{err}
+			return httpx.Transient(err)
 		}
-		defer drainClose(resp.Body)
+		defer httpx.Drain(resp.Body)
 		switch resp.StatusCode {
 		case http.StatusPartialContent:
 			if et := resp.Header.Get("ETag"); et != "" && h.validator != "" && et != h.validator {
@@ -335,7 +297,7 @@ func (h *HTTPRangeReaderAt) fetchRange(ctx context.Context, buf []byte, off int6
 				return fmt.Errorf("pack: GET %s: asked for offset %d, server answered %d", h.url, off, start)
 			}
 			if _, err := io.ReadFull(resp.Body, buf); err != nil {
-				return &transientError{fmt.Errorf("truncated range body: %w", err)}
+				return httpx.Transient(fmt.Errorf("truncated range body: %w", err))
 			}
 			return nil
 		case http.StatusOK:
@@ -351,7 +313,7 @@ func (h *HTTPRangeReaderAt) fetchRange(ctx context.Context, buf []byte, off int6
 			// so a 416 means the file shrank or was replaced.
 			return fmt.Errorf("%w: range %d+%d rejected with 416", ErrChangedMidRead, off, len(buf))
 		default:
-			return classifyStatus(h.url, resp.StatusCode)
+			return httpx.CheckStatus(h.url, resp.StatusCode)
 		}
 	})
 }
@@ -377,10 +339,10 @@ func (h *HTTPRangeReaderAt) readFromFullBody(resp *http.Response, buf []byte, of
 		return fmt.Errorf("%w: full body is %d bytes, was %d at open", ErrChangedMidRead, resp.ContentLength, h.size)
 	}
 	if _, err := io.CopyN(io.Discard, resp.Body, off); err != nil {
-		return &transientError{fmt.Errorf("truncated full body: %w", err)}
+		return httpx.Transient(fmt.Errorf("truncated full body: %w", err))
 	}
 	if _, err := io.ReadFull(resp.Body, buf); err != nil {
-		return &transientError{fmt.Errorf("truncated full body: %w", err)}
+		return httpx.Transient(fmt.Errorf("truncated full body: %w", err))
 	}
 	return nil
 }
@@ -412,78 +374,6 @@ func contentRangeStart(v string) (int64, bool) {
 		return 0, false
 	}
 	return n, true
-}
-
-// StatusError reports a final HTTP failure from the blob server.
-type StatusError struct {
-	URL  string
-	Code int
-}
-
-func (e *StatusError) Error() string {
-	return fmt.Sprintf("pack: GET %s: status %d", e.URL, e.Code)
-}
-
-// transientError marks failures worth retrying — the same set
-// toplist.Remote retries.
-type transientError struct{ err error }
-
-func (e *transientError) Error() string { return e.err.Error() }
-func (e *transientError) Unwrap() error { return e.err }
-
-// classifyStatus maps a status to nil (200), a transient error
-// (502/503/504, 429), or a final StatusError — toplist.Remote's
-// classification applied to blob reads.
-func classifyStatus(url string, code int) error {
-	switch {
-	case code == http.StatusOK:
-		return nil
-	case code == http.StatusBadGateway || code == http.StatusServiceUnavailable ||
-		code == http.StatusGatewayTimeout || code == http.StatusTooManyRequests:
-		return &transientError{&StatusError{URL: url, Code: code}}
-	default:
-		return &StatusError{URL: url, Code: code}
-	}
-}
-
-// retry runs op with jittered exponential backoff on transient
-// failures, honouring ctx between attempts — toplist.Remote.retry's
-// shape.
-func (h *HTTPRangeReaderAt) retry(ctx context.Context, op func() error) error {
-	var lastErr error
-	backoff := h.opt.baseBackoff
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return fmt.Errorf("%w (last error: %v)", err, lastErr)
-			}
-			return err
-		}
-		err := op()
-		if err == nil {
-			return nil
-		}
-		var te *transientError
-		if !errors.As(err, &te) {
-			return err
-		}
-		lastErr = te.err
-		if attempt >= h.opt.maxAttempts {
-			return fmt.Errorf("pack: giving up after %d attempts: %w", attempt, lastErr)
-		}
-		d := time.Duration(float64(backoff) * (0.5 + h.opt.jitter()))
-		if err := h.opt.sleep(ctx, d); err != nil {
-			return fmt.Errorf("%w (last error: %v)", err, lastErr)
-		}
-		backoff *= 2
-	}
-}
-
-// drainClose consumes and closes a response body so the connection can
-// be reused.
-func drainClose(rc io.ReadCloser) {
-	io.Copy(io.Discard, io.LimitReader(rc, 1<<20)) //nolint:errcheck // best-effort keepalive drain
-	rc.Close()
 }
 
 // OpenURL opens the packed archive served at url over HTTP Range

@@ -15,12 +15,9 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-)
 
-// fastOpts makes retry backoff negligible for tests.
-func fastOpts(extra ...Option) []Option {
-	return append([]Option{WithBaseBackoff(time.Nanosecond)}, extra...)
-}
+	"repro/internal/httpx"
+)
 
 // servePackFile returns an httptest server serving the pack bytes with
 // full, correct Range support (http.ServeContent), plus a counter of
@@ -57,7 +54,7 @@ func TestOpenURLReadsEqualLocal(t *testing.T) {
 	defer local.Close()
 
 	ts, ranged := servePackFile(t, path)
-	remote, err := OpenURL(context.Background(), ts.URL, fastOpts()...)
+	remote, err := OpenURL(context.Background(), ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,12 +161,14 @@ func flakyServer(t *testing.T, nFaults int) (*httptest.Server, *flakyHandler, *H
 	ts := httptest.NewServer(h)
 	t.Cleanup(ts.Close)
 	// A tiny chunk size so a small test pack spans many chunks — the
-	// faults below must hit the network, not the chunk cache.
-	ra, err := NewHTTPRangeReaderAt(context.Background(), ts.URL, fastOpts()...)
+	// faults below must hit the network, not the chunk cache — and
+	// negligible backoff.
+	ra, err := NewHTTPRangeReaderAt(context.Background(), ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ra.chunkSize = 64
+	ra.retry = httpx.Policy{Attempts: 4, Base: time.Nanosecond, Max: time.Millisecond}
 	return ts, h, ra
 }
 
@@ -255,7 +254,7 @@ func TestHTTPRangeCoalescing(t *testing.T) {
 	store := seedStore(t, t.TempDir())
 	path := packStore(t, store)
 	ts, ranged := servePackFile(t, path)
-	ra, err := NewHTTPRangeReaderAt(context.Background(), ts.URL, fastOpts()...)
+	ra, err := NewHTTPRangeReaderAt(context.Background(), ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +306,7 @@ func TestOpenURLProbeFallsBackWithoutHEAD(t *testing.T) {
 		http.ServeContent(w, r, "joint.pack", time.Unix(1700000000, 0), bytes.NewReader(data))
 	}))
 	defer ts.Close()
-	p, err := OpenURL(context.Background(), ts.URL, fastOpts()...)
+	p, err := OpenURL(context.Background(), ts.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

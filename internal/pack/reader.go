@@ -65,23 +65,6 @@ var (
 // name-reading analyses.
 const decodeCacheSize = 64
 
-// options collects the knobs of OpenURL, all consumed by
-// NewHTTPRangeReaderAt.
-type options struct {
-	http httpOptions
-}
-
-// Option configures OpenURL and NewHTTPRangeReaderAt.
-type Option func(*options)
-
-func buildOptions(opts []Option) options {
-	o := options{http: defaultHTTPOptions()}
-	for _, fn := range opts {
-		fn(&o)
-	}
-	return o
-}
-
 // Open reads the packed archive available through r (size bytes long)
 // and returns it as a Source. Only the header, footer, and central
 // directory are read here — O(directory), not O(archive) — so opening

@@ -8,16 +8,15 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"math/rand"
 	"net/http"
 	"sync"
 	"time"
 
 	"repro/internal/fleet"
+	"repro/internal/httpx"
 	"repro/internal/parallel"
 	"repro/internal/providers"
 	"repro/internal/serve"
-	"repro/internal/toplist"
 )
 
 // Coordinator farms a generation run's per-day stepping out to shard
@@ -41,13 +40,9 @@ type Coordinator struct {
 	shards int
 	n      int
 
-	httpc       *http.Client
-	maxAttempts int
-	baseBackoff time.Duration
-	maxBackoff  time.Duration
-	jitter      func() float64
-	sleep       func(ctx context.Context, d time.Duration) error
-	logger      *log.Logger
+	httpc  *http.Client
+	retry  httpx.Policy
+	logger *log.Logger
 
 	sessions []*shardSession
 	merged   int  // days merged so far (burn-in included)
@@ -99,20 +94,10 @@ func WithCoordinatorLogger(l *log.Logger) CoordinatorOption {
 	return func(c *Coordinator) { c.logger = l }
 }
 
-// WithCoordinatorRetry tunes the per-request retry budget and backoff
-// window — tests shrink these to keep failover fast.
-func WithCoordinatorRetry(attempts int, base, max time.Duration) CoordinatorOption {
-	return func(c *Coordinator) {
-		if attempts > 0 {
-			c.maxAttempts = attempts
-		}
-		if base > 0 {
-			c.baseBackoff = base
-		}
-		if max > 0 {
-			c.maxBackoff = max
-		}
-	}
+// WithCoordinatorRetry replaces the per-request retry policy (default
+// httpx.Default) — tests shrink it to keep failover fast.
+func WithCoordinatorRetry(p httpx.Policy) CoordinatorOption {
+	return func(c *Coordinator) { c.retry = p }
 }
 
 // WithHTTPClient overrides the HTTP client (tests inject httptest
@@ -129,25 +114,12 @@ func NewCoordinator(g *providers.Generator, job Job, workerURLs []string, opts .
 		return nil, err
 	}
 	c := &Coordinator{
-		g:           g,
-		job:         job,
-		n:           g.Model.W.Len(),
-		shards:      len(workerURLs),
-		httpc:       &http.Client{Timeout: 2 * time.Minute},
-		maxAttempts: 4,
-		baseBackoff: 200 * time.Millisecond,
-		maxBackoff:  5 * time.Second,
-		jitter:      rand.Float64,
-		sleep: func(ctx context.Context, d time.Duration) error {
-			t := time.NewTimer(d)
-			defer t.Stop()
-			select {
-			case <-ctx.Done():
-				return ctx.Err()
-			case <-t.C:
-				return nil
-			}
-		},
+		g:      g,
+		job:    job,
+		n:      g.Model.W.Len(),
+		shards: len(workerURLs),
+		httpc:  &http.Client{Timeout: 2 * time.Minute},
+		retry:  httpx.Default,
 		logger: log.New(io.Discard, "", 0),
 	}
 	// The peer set supplies health tracking and jittered backoff;
@@ -251,7 +223,7 @@ func (c *Coordinator) StepDay(ctx context.Context, day int) error {
 func (c *Coordinator) stepShard(ctx context.Context, s *shardSession, day int) (*Frame, error) {
 	// Total strike budget across reassignments: enough to visit every
 	// worker through a full retry cycle before giving up.
-	maxStrikes := c.maxAttempts * len(c.peers.Peers())
+	maxStrikes := c.retry.Attempts * len(c.peers.Peers())
 	var lastErr error
 	for strikes := 0; strikes < maxStrikes; strikes++ {
 		if err := ctx.Err(); err != nil {
@@ -295,11 +267,9 @@ func (c *Coordinator) stepShard(ctx context.Context, s *shardSession, day int) (
 func (c *Coordinator) assign(ctx context.Context, s *shardSession, day int) error {
 	avail := c.peers.Available()
 	if len(avail) == 0 {
-		// Everyone is in backoff; wait out roughly one base window
-		// (jittered like the request backoff) and let the caller burn a
-		// strike.
-		d := time.Duration(float64(c.baseBackoff) * (0.5 + c.jitter()))
-		if err := c.sleep(ctx, d); err != nil {
+		// Everyone is in backoff; wait out one jittered base window and
+		// let the caller burn a strike.
+		if err := c.retry.Wait(ctx, 1); err != nil {
 			return err
 		}
 		return fmt.Errorf("shard: no workers available for shard %d", s.index)
@@ -386,21 +356,13 @@ func (c *Coordinator) Close() {
 
 // --- HTTP plumbing -----------------------------------------------------
 
-// transientErr marks a failure worth retrying against the same worker.
-type transientErr struct{ err error }
-
-func (e *transientErr) Error() string { return e.err.Error() }
-func (e *transientErr) Unwrap() error { return e.err }
-
-// doRaw performs one HTTP exchange with per-request jittered
-// exponential retry for transient failures — network errors and the
-// same status classification /archive/v1 clients use
-// (toplist.TransientStatus). Protocol-level refusals (4xx, including
-// the 409 out-of-order/unseeded conflicts) are final: retrying cannot
+// doRaw performs one HTTP exchange, retrying transient failures under
+// the coordinator's policy. Protocol-level refusals (4xx, including the
+// 409 out-of-order/unseeded conflicts) are final: retrying cannot
 // change a worker's verdict about a malformed request.
 func (c *Coordinator) doRaw(ctx context.Context, peer *fleet.Peer, method, url string, body []byte) ([]byte, error) {
 	var out []byte
-	err := c.retry(ctx, func() error {
+	err := c.retry.Do(ctx, func() error {
 		var rd io.Reader
 		if body != nil {
 			rd = bytes.NewReader(body)
@@ -411,26 +373,19 @@ func (c *Coordinator) doRaw(ctx context.Context, peer *fleet.Peer, method, url s
 		}
 		resp, err := c.httpc.Do(req)
 		if err != nil {
-			return &transientErr{err}
+			return httpx.Transient(err)
 		}
-		defer resp.Body.Close()
-		switch {
-		case resp.StatusCode == http.StatusOK:
-			out, err = io.ReadAll(io.LimitReader(resp.Body, maxRequestBody+1))
-			if err != nil {
-				return &transientErr{err}
-			}
-			return nil
-		case resp.StatusCode == http.StatusNoContent:
+		defer httpx.Drain(resp.Body)
+		if resp.StatusCode == http.StatusNoContent {
 			out = nil
 			return nil
-		case toplist.TransientStatus(resp.StatusCode):
-			io.Copy(io.Discard, io.LimitReader(resp.Body, 1<<16)) //nolint:errcheck // drain for reuse
-			return &transientErr{&toplist.RemoteStatusError{URL: url, Code: resp.StatusCode}}
-		default:
-			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
-			return fmt.Errorf("shard: %s %s: status %d: %s", method, url, resp.StatusCode, bytes.TrimSpace(msg))
 		}
+		if err := httpx.CheckStatus(url, resp.StatusCode); err != nil {
+			msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<12))
+			return fmt.Errorf("shard: %s %w: %s", method, err, bytes.TrimSpace(msg))
+		}
+		out, err = httpx.ReadBody(resp, maxRequestBody)
+		return err
 	})
 	return out, err
 }
@@ -442,42 +397,6 @@ func (c *Coordinator) doJSON(ctx context.Context, peer *fleet.Peer, method, url 
 		return err
 	}
 	return json.Unmarshal(out, v)
-}
-
-// retry runs op with the repo's standard jittered exponential backoff
-// (mirroring toplist.Remote.retry): transient errors retry up to
-// maxAttempts, anything else is final.
-func (c *Coordinator) retry(ctx context.Context, op func() error) error {
-	var lastErr error
-	backoff := c.baseBackoff
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return fmt.Errorf("%w (last error: %v)", err, lastErr)
-			}
-			return err
-		}
-		err := op()
-		if err == nil {
-			return nil
-		}
-		var te *transientErr
-		if !errors.As(err, &te) {
-			return err
-		}
-		lastErr = te.err
-		if attempt >= c.maxAttempts {
-			return fmt.Errorf("shard: giving up after %d attempts: %w", attempt, lastErr)
-		}
-		d := time.Duration(float64(backoff) * (0.5 + c.jitter()))
-		if d > c.maxBackoff {
-			d = c.maxBackoff
-		}
-		if err := c.sleep(ctx, d); err != nil {
-			return fmt.Errorf("%w (last error: %v)", err, lastErr)
-		}
-		backoff *= 2
-	}
 }
 
 func jsonBody(v any) ([]byte, error) {

@@ -2,13 +2,10 @@ package shard
 
 import (
 	"context"
-	"net/http"
-	"net/http/httptest"
-	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/httpx"
 	"repro/internal/providers"
 )
 
@@ -23,7 +20,7 @@ func newGen(t *testing.T) *providers.Generator {
 
 // fastRetry keeps failover tests quick: tiny backoff, few attempts.
 func fastRetry() CoordinatorOption {
-	return WithCoordinatorRetry(2, time.Millisecond, 5*time.Millisecond)
+	return WithCoordinatorRetry(httpx.Policy{Attempts: 2, Base: time.Millisecond, Max: 5 * time.Millisecond})
 }
 
 func runDays(t *testing.T, c *Coordinator, from, to int) {
@@ -123,107 +120,6 @@ func TestCoordinatorReassign(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRetryBackoff is the injected-clock unit suite for the
-// per-request retry: with jitter pinned to 0.5 (factor exactly 1.0) the
-// recorded sleeps must double from the base, and the budget must end in
-// a typed give-up error.
-func TestCoordinatorRetryBackoff(t *testing.T) {
-	var hits atomic.Int64
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hits.Add(1)
-		http.Error(w, "overloaded", http.StatusServiceUnavailable)
-	}))
-	defer srv.Close()
-
-	g := newGen(t)
-	c, err := NewCoordinator(g, testJob(t), []string{srv.URL},
-		WithCoordinatorRetry(4, 10*time.Millisecond, time.Hour))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slept []time.Duration
-	c.jitter = func() float64 { return 0.5 } // factor (0.5 + 0.5) = 1.0
-	c.sleep = func(ctx context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-
-	err = c.retry(context.Background(), func() error {
-		resp, err := http.Get(srv.URL + "/x")
-		if err != nil {
-			return &transientErr{err}
-		}
-		resp.Body.Close()
-		return &transientErr{errFromStatus(resp.StatusCode)}
-	})
-	if err == nil || !strings.Contains(err.Error(), "giving up after 4 attempts") {
-		t.Fatalf("retry error: %v", err)
-	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v", slept)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("sleep %d = %v, want %v (doubling from base)", i, slept[i], want[i])
-		}
-	}
-	if got := hits.Load(); got != 4 {
-		t.Fatalf("server saw %d attempts, want 4", got)
-	}
-}
-
-// TestCoordinatorBackoffCap: the per-attempt delay clamps at the
-// configured maximum.
-func TestCoordinatorBackoffCap(t *testing.T) {
-	g := newGen(t)
-	c, err := NewCoordinator(g, testJob(t), []string{"http://unreachable.invalid:1"},
-		WithCoordinatorRetry(5, 10*time.Millisecond, 25*time.Millisecond))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slept []time.Duration
-	c.jitter = func() float64 { return 0.5 }
-	c.sleep = func(ctx context.Context, d time.Duration) error {
-		slept = append(slept, d)
-		return nil
-	}
-	fail := func() error { return &transientErr{errFromStatus(503)} }
-	if err := c.retry(context.Background(), fail); err == nil {
-		t.Fatal("retry succeeded against permanent failure")
-	}
-	// 10, 20, then clamped to 25, 25.
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond, 25 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v", slept)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("sleep %d = %v, want %v", i, slept[i], want[i])
-		}
-	}
-}
-
-// TestCoordinatorFinalErrorNoRetry: non-transient failures (a worker's
-// 4xx verdict) do not consume sleeps — they are final on first sight.
-func TestCoordinatorFinalErrorNoRetry(t *testing.T) {
-	g := newGen(t)
-	c, err := NewCoordinator(g, testJob(t), []string{"http://unreachable.invalid:1"}, fastRetry())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var slept int
-	c.sleep = func(ctx context.Context, d time.Duration) error { slept++; return nil }
-	calls := 0
-	err = c.retry(context.Background(), func() error {
-		calls++
-		return errFromStatus(400)
-	})
-	if err == nil || calls != 1 || slept != 0 {
-		t.Fatalf("final error: err=%v calls=%d slept=%d", err, calls, slept)
-	}
-}
-
 // TestCoordinatorAllWorkersDown: with every worker dead the step fails
 // with a bounded error instead of hanging.
 func TestCoordinatorAllWorkersDown(t *testing.T) {
@@ -234,8 +130,8 @@ func TestCoordinatorAllWorkersDown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.jitter = func() float64 { return 0.5 }
-	c.sleep = func(ctx context.Context, d time.Duration) error { return nil }
+	c.retry.Jitter = func() float64 { return 0.5 }
+	c.retry.Sleep = func(ctx context.Context, d time.Duration) error { return nil }
 	runDays(t, c, -opts.BurnInDays, -opts.BurnInDays+1)
 	srv.CloseClientConnections()
 	srv.Close()
@@ -270,11 +166,3 @@ func TestCoordinatorValidation(t *testing.T) {
 		t.Fatal("no workers accepted")
 	}
 }
-
-func errFromStatus(code int) error {
-	return &statusErr{code}
-}
-
-type statusErr struct{ code int }
-
-func (e *statusErr) Error() string { return http.StatusText(e.code) }

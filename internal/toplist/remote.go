@@ -3,10 +3,7 @@ package toplist
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
-	"math/rand"
 	"net/http"
 	"net/url"
 	"sort"
@@ -16,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/cache"
+	"repro/internal/httpx"
 )
 
 // This file defines the archive wire protocol — the versioned
@@ -135,11 +133,7 @@ type Remote struct {
 	baseURL string
 	httpc   *http.Client
 	base    context.Context
-
-	maxAttempts int
-	baseBackoff time.Duration
-	jitter      func() float64
-	sleep       func(context.Context, time.Duration) error
+	retry   httpx.Policy
 
 	mu        sync.Mutex
 	synced    bool   // first manifest fetch folded in
@@ -229,27 +223,13 @@ func WithRemoteCacheSize(n int) RemoteOption {
 	}
 }
 
-// WithRemoteMaxAttempts bounds the tries per transfer (default 4).
-// Transient failures — connection errors, 502/503/504, 429 — are
-// retried with jittered exponential backoff before a fetch is declared
-// failed; 404s, plain 500s (a raw-serving archive refusing a corrupt
-// slot), undecodable payloads, and cancellation are never retried.
-func WithRemoteMaxAttempts(n int) RemoteOption {
-	return func(r *Remote) {
-		if n > 0 {
-			r.maxAttempts = n
-		}
-	}
-}
-
-// WithRemoteBaseBackoff sets the first retry delay (default 250ms;
-// doubled per attempt with ±50% jitter).
-func WithRemoteBaseBackoff(d time.Duration) RemoteOption {
-	return func(r *Remote) {
-		if d > 0 {
-			r.baseBackoff = d
-		}
-	}
+// WithRemoteRetry replaces the retry policy (default httpx.Default).
+// Transient failures — connection errors, 502/503/504, 429, truncated
+// bodies — are retried before a fetch is declared failed; 404s, plain
+// 500s (a raw-serving archive refusing a corrupt slot), undecodable
+// payloads, and cancellation never are.
+func WithRemoteRetry(p httpx.Policy) RemoteOption {
+	return func(r *Remote) { r.retry = p }
 }
 
 // OpenRemote opens the archive served at baseURL (the host root — the
@@ -264,24 +244,12 @@ func WithRemoteBaseBackoff(d time.Duration) RemoteOption {
 // context.Background()).
 func OpenRemote(ctx context.Context, baseURL string, opts ...RemoteOption) (*Remote, error) {
 	r := &Remote{
-		baseURL:     strings.TrimRight(baseURL, "/"),
-		httpc:       &http.Client{Timeout: 30 * time.Second},
-		base:        ctx,
-		maxAttempts: 4,
-		baseBackoff: 250 * time.Millisecond,
-		jitter:      rand.Float64,
-		known:       make(map[string]bool),
-		cache:       cache.New[storeKey, *remoteDoc](256),
-	}
-	r.sleep = func(ctx context.Context, d time.Duration) error {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-t.C:
-			return nil
-		}
+		baseURL: strings.TrimRight(baseURL, "/"),
+		httpc:   &http.Client{Timeout: 30 * time.Second},
+		base:    ctx,
+		retry:   httpx.Default,
+		known:   make(map[string]bool),
+		cache:   cache.New[storeKey, *remoteDoc](256),
 	}
 	for _, o := range opts {
 		o(r)
@@ -334,7 +302,7 @@ func (r *Remote) revalidate(ctx context.Context, conditional bool) (bool, error)
 	var man RemoteManifest
 	var newTag string
 	unchanged := false
-	err := r.retry(ctx, func() error {
+	err := r.retry.Do(ctx, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, r.baseURL+RemoteManifestPath(), nil)
 		if err != nil {
 			return err
@@ -344,19 +312,19 @@ func (r *Remote) revalidate(ctx context.Context, conditional bool) (bool, error)
 		}
 		resp, err := r.httpc.Do(req)
 		if err != nil {
-			return &remoteTransient{err}
+			return httpx.Transient(err)
 		}
-		defer drainBody(resp.Body)
+		defer httpx.Drain(resp.Body)
 		if conditional && etag != "" && resp.StatusCode == http.StatusNotModified {
 			unchanged = true
 			return nil
 		}
-		if err := classifyRemoteStatus(req.URL.String(), resp.StatusCode); err != nil {
+		if err := httpx.CheckStatus(req.URL.String(), resp.StatusCode); err != nil {
 			return err
 		}
-		raw, err := io.ReadAll(io.LimitReader(resp.Body, remoteMaxBody))
+		raw, err := httpx.ReadBody(resp, remoteMaxBody)
 		if err != nil {
-			return &remoteTransient{err}
+			return err
 		}
 		man, unchanged = RemoteManifest{}, false
 		if err := json.Unmarshal(raw, &man); err != nil {
@@ -486,7 +454,7 @@ func (r *Remote) Providers() []string {
 // Get returns the snapshot for provider on day, or nil if absent,
 // running any fetch under the OpenRemote context. It implements
 // Source. Transient transport failures are retried (see
-// WithRemoteMaxAttempts) before a fetch is abandoned; a failure that
+// WithRemoteRetry) before a fetch is abandoned; a failure that
 // exhausts the retry budget is reported as nil — the only answer the
 // Source contract allows — so consumers that must distinguish a dead
 // server from a genuine gap use GetContext, which surfaces the error
@@ -609,32 +577,21 @@ func SortSnapshots(snaps []Snapshot, providerOrder []string) []Snapshot {
 	return snaps
 }
 
-// RemoteStatusError reports a non-404 HTTP failure from an archive
-// server.
-type RemoteStatusError struct {
-	URL  string
-	Code int
-}
-
-func (e *RemoteStatusError) Error() string {
-	return fmt.Sprintf("toplist: GET %s: status %d", e.URL, e.Code)
-}
-
 // fetchSnapshot downloads one snapshot document without decoding it:
 // (body, hash, nil) on success (hash is the bare content hash from the
 // wire ETag, "" when the server sent none), (nil, "", nil) for an
 // absent snapshot (404), and (nil, "", err) for transfer failures the
-// caller must not memoize. Transient failures (connection errors,
-// 502/503/504, 429, truncated bodies) are retried with jittered
-// exponential backoff before the error is surfaced; a plain 500 is
-// final — it is how a raw-serving archive refuses a slot it knows is
-// corrupt, and hammering that slot with retries cannot change the
-// verdict.
+// caller must not memoize. Transient failures are retried under the
+// client's policy before the error is surfaced; a plain 500 is final —
+// it is how a raw-serving archive refuses a slot it knows is corrupt,
+// and hammering that slot with retries cannot change the verdict (a
+// repair is picked up by the next fetch after the slot leaves the
+// cache or a Refresh drops it).
 func (r *Remote) fetchSnapshot(ctx context.Context, provider string, day Day) ([]byte, string, error) {
 	url := r.baseURL + RemoteSnapshotPath(provider, day)
 	var body []byte
 	var hash string
-	err := r.retry(ctx, func() error {
+	err := r.retry.Do(ctx, func() error {
 		req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 		if err != nil {
 			return err
@@ -649,22 +606,21 @@ func (r *Remote) fetchSnapshot(ctx context.Context, provider string, day Day) ([
 		req.Header.Set("Accept-Encoding", "gzip")
 		resp, err := r.httpc.Do(req)
 		if err != nil {
-			return &remoteTransient{err}
+			return httpx.Transient(err)
 		}
-		defer drainBody(resp.Body)
+		defer httpx.Drain(resp.Body)
 		if resp.StatusCode == http.StatusNotFound {
 			body, hash = nil, ""
 			return nil
 		}
-		if err := classifyRemoteStatus(url, resp.StatusCode); err != nil {
+		if err := httpx.CheckStatus(url, resp.StatusCode); err != nil {
 			return err
 		}
-		data, err := readBody(resp)
+		// The LRU keeps data, so ReadBody's exactly sized buffer keeps
+		// growth slack out of the cache.
+		data, err := httpx.ReadBody(resp, remoteMaxBody)
 		if err != nil {
-			return &remoteTransient{err} // truncated transfer
-		}
-		if len(data) > remoteMaxBody {
-			return fmt.Errorf("toplist: GET %s: body exceeds %d bytes", url, remoteMaxBody)
+			return err
 		}
 		body, hash = data, etagHash(resp.Header.Get("ETag"))
 		return nil
@@ -675,22 +631,6 @@ func (r *Remote) fetchSnapshot(ctx context.Context, provider string, day Day) ([
 	return body, hash, nil
 }
 
-// readBody reads a snapshot body of at most remoteMaxBody+1 bytes. A
-// declared length within the cap (the archive server always sends one)
-// sizes the buffer exactly — the LRU keeps it, so growth slack would
-// be kept too; a body shorter than declared fails like any truncated
-// transfer.
-func readBody(resp *http.Response) ([]byte, error) {
-	if n := resp.ContentLength; n >= 0 && n <= remoteMaxBody {
-		data := make([]byte, n)
-		if _, err := io.ReadFull(resp.Body, data); err != nil {
-			return nil, err
-		}
-		return data, nil
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, remoteMaxBody+1))
-}
-
 // etagHash extracts the bare content hash from a wire ETag ("" when
 // absent or not a quoted tag).
 func etagHash(etag string) string {
@@ -699,81 +639,4 @@ func etagHash(etag string) string {
 		return etag[1 : len(etag)-1]
 	}
 	return ""
-}
-
-// remoteTransient marks failures worth retrying.
-type remoteTransient struct{ err error }
-
-func (e *remoteTransient) Error() string { return e.err.Error() }
-func (e *remoteTransient) Unwrap() error { return e.err }
-
-// classifyRemoteStatus maps a non-404 status to nil (200), a transient
-// error (502/503/504 and 429 — server or gateway trouble a retry can
-// outlive), or a final RemoteStatusError. A plain 500 is deliberately
-// final: the archive server uses it to refuse raw-serving a slot its
-// store knows is corrupt, a verdict retries cannot change (a repair is
-// picked up by the next fetch after the slot leaves the cache or a
-// Refresh drops it).
-func classifyRemoteStatus(url string, code int) error {
-	switch {
-	case code == http.StatusOK:
-		return nil
-	case TransientStatus(code):
-		return &remoteTransient{&RemoteStatusError{URL: url, Code: code}}
-	default:
-		return &RemoteStatusError{URL: url, Code: code}
-	}
-}
-
-// TransientStatus reports whether an HTTP status is worth retrying
-// under this package's classification: 502/503/504 and 429 — server or
-// gateway trouble a retry can outlive. Exported so other versioned HTTP
-// clients in the repo (the shard coordinator's /shard/v1 client) apply
-// the identical transient/final split instead of drifting their own.
-func TransientStatus(code int) bool {
-	return code == http.StatusBadGateway || code == http.StatusServiceUnavailable ||
-		code == http.StatusGatewayTimeout || code == http.StatusTooManyRequests
-}
-
-// retry runs op, retrying transient failures with jittered exponential
-// backoff up to maxAttempts, and honouring ctx between attempts — so a
-// single network blip does not degrade a Source read into a spurious
-// nil (which an analysis would misread as a gap).
-func (r *Remote) retry(ctx context.Context, op func() error) error {
-	var lastErr error
-	backoff := r.baseBackoff
-	for attempt := 1; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			if lastErr != nil {
-				return fmt.Errorf("%w (last error: %v)", err, lastErr)
-			}
-			return err
-		}
-		err := op()
-		if err == nil {
-			return nil
-		}
-		var te *remoteTransient
-		if !errors.As(err, &te) {
-			return err
-		}
-		lastErr = te.err
-		if attempt >= r.maxAttempts {
-			return fmt.Errorf("toplist: remote: giving up after %d attempts: %w", attempt, lastErr)
-		}
-		// ±50% jitter decorrelates the retry storms a fleet of remote
-		// readers would otherwise synchronise into.
-		d := time.Duration(float64(backoff) * (0.5 + r.jitter()))
-		if err := r.sleep(ctx, d); err != nil {
-			return fmt.Errorf("%w (last error: %v)", err, lastErr)
-		}
-		backoff *= 2
-	}
-}
-
-// drainBody consumes and closes a response body so the underlying
-// connection can be reused.
-func drainBody(rc io.ReadCloser) {
-	io.Copy(io.Discard, io.LimitReader(rc, 1<<20)) //nolint:errcheck // best-effort keepalive drain
-	rc.Close()
 }

@@ -142,8 +142,7 @@ func CreateArchive(dir string, first, last toplist.Day) (*DiskStore, error) {
 // read contract over the network.
 type Remote = toplist.Remote
 
-// RemoteOption configures OpenRemote (HTTP client, cache size, retry
-// attempts and backoff).
+// RemoteOption configures OpenRemote (HTTP client, cache size).
 type RemoteOption = toplist.RemoteOption
 
 // OpenRemote opens the archive served at baseURL over the versioned
@@ -312,8 +311,8 @@ func BootstrapArchive(ctx context.Context, dir string, peers *PeerSet) (*DiskSto
 // ArchiveHandler serve from it unchanged and byte-identically.
 type Pack = pack.Pack
 
-// PackOption configures OpenPackURL (HTTP client and retry knobs for
-// the Range backend).
+// PackOption configures OpenPackURL (the Range backend's HTTP
+// client).
 type PackOption = pack.Option
 
 // WritePack packs the archive src into a single file at path: gzip
