@@ -43,7 +43,6 @@ package archived
 
 import (
 	"bytes"
-	"compress/gzip"
 	"context"
 	"encoding/json"
 	"errors"
@@ -391,19 +390,14 @@ func (s *Server) rawBlobFor(rs toplist.RawSource, provider string, day toplist.D
 // blobFor returns the encoded document for l, reusing the cached
 // encoding while the source still returns the same immutable list —
 // the entry's validator on this path. Concurrent cold requests for one
-// snapshot share a single WriteCSV+gzip pass.
+// snapshot share a single toplist.EncodeSnapshot pass.
 func (s *Server) blobFor(provider string, day toplist.Day, l *toplist.List) (*blob, error) {
 	return s.blobs.Do(context.TODO(), blobKey{provider, day}, l, func() (*blob, error) {
-		var buf bytes.Buffer
-		zw := gzip.NewWriter(&buf)
-		err := toplist.WriteCSV(zw, l)
-		if cerr := zw.Close(); err == nil {
-			err = cerr
-		}
+		data, err := toplist.EncodeSnapshot(l)
 		if err != nil {
 			return nil, err
 		}
-		return &blob{data: buf.Bytes(), etag: `"` + toplist.ContentHash(buf.Bytes()) + `"`}, nil
+		return &blob{data: data, etag: `"` + toplist.ContentHash(data) + `"`}, nil
 	})
 }
 

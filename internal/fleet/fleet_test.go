@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -334,6 +336,46 @@ func TestMirrorSurvivesDeadPeer(t *testing.T) {
 	}
 	if ps.peers[1].Failures() != 0 {
 		t.Fatal("live peer should be healthy")
+	}
+}
+
+// TestCancelledRevalidationKeepsPeerHealthy: a round cancelled while a
+// peer's manifest revalidation is in flight, as when a mirror's loops
+// are stopped, records no failure against the peer, so a later round
+// (a heal pass, say) can still use it.
+func TestCancelledRevalidationKeepsPeerHealthy(t *testing.T) {
+	src := seedStore(t, []string{"alexa"}, 2)
+	inner := archived.NewServer(src)
+	var hold atomic.Bool
+	held := make(chan struct{})
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/manifest") && hold.CompareAndSwap(true, false) {
+			close(held)
+			<-r.Context().Done()
+			return
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	t.Cleanup(ts.Close)
+	ps := testPeerSet(t, ts.URL)
+	m := NewMirror(emptyStore(t, 2), ps)
+	m.SyncOnce(context.Background()) // opens the peer and drains it
+	if got := m.Copied(); got != 2 {
+		t.Fatalf("copied = %d, want 2", got)
+	}
+
+	hold.Store(true)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		<-held
+		cancel()
+	}()
+	m.SyncOnce(ctx)
+	if got := ps.peers[0].Failures(); got != 0 || m.PeerFailures() != 0 {
+		t.Fatalf("cancelled revalidation counted against the peer: %d failures (%d counted)", got, m.PeerFailures())
+	}
+	if len(ps.Available()) != 1 {
+		t.Fatal("peer benched after a cancelled round")
 	}
 }
 

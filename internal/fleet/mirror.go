@@ -157,8 +157,12 @@ func (m *Mirror) syncPeer(ctx context.Context, p *Peer) {
 	}
 	changed, err := rem.Revalidate(ctx)
 	if err != nil {
-		p.fail()
-		m.logf("peer %s: revalidate: %v", p.URL(), err)
+		// As for a drain: a round cancelled mid-request says nothing
+		// about the peer, and benching it would starve later rounds.
+		if ctx.Err() == nil {
+			p.fail()
+			m.logf("peer %s: revalidate: %v", p.URL(), err)
+		}
 		return
 	}
 	m.peerLag(p).Set(lagDays(m.store.Last(), rem.Last()))

@@ -1,6 +1,7 @@
 package httpx
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -267,6 +268,58 @@ func TestReadBody(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzReadBody holds ReadBody to its contract for any declared length,
+// body and limit: it never returns more than limit bytes; a declared
+// length over the limit is refused as final before the body is read;
+// one within it yields exactly that many bytes in a buffer of exactly
+// that capacity, or a transient error when the body is shorter; and an
+// undeclared body comes back whole when it fits the limit and is
+// refused as final otherwise. The seeds are TestReadBody's cases.
+func FuzzReadBody(f *testing.F) {
+	for _, tc := range []struct {
+		declared int64
+		data     string
+	}{
+		{5, "hello"}, {8, "12345678"}, {0, ""}, {9, "123456789"}, {6, "hel"},
+		{-1, "hello"}, {-1, "12345678"}, {-1, "123456789"}, {-1, "hel"},
+	} {
+		f.Add(tc.declared, []byte(tc.data), int64(8))
+	}
+	f.Fuzz(func(t *testing.T, declared int64, data []byte, limit int64) {
+		if limit < 0 || limit > 1<<20 {
+			return // no limit is negative, and ReadBody may allocate up to limit bytes
+		}
+		b := &body{r: bytes.NewReader(data)}
+		got, err := ReadBody(response(declared, b), limit)
+		if int64(len(got)) > limit {
+			t.Fatalf("returned %d bytes past the limit %d", len(got), limit)
+		}
+		switch {
+		case declared > limit:
+			if err == nil || isTransient(err) || b.reads != 0 {
+				t.Fatalf("declared %d over limit %d: err %v (transient %v) after %d reads; want a final refusal before reading",
+					declared, limit, err, isTransient(err), b.reads)
+			}
+		case declared >= 0 && int64(len(data)) < declared:
+			if err == nil || !isTransient(err) {
+				t.Fatalf("declared %d, body of %d: err %v; want a transient error", declared, len(data), err)
+			}
+		case declared >= 0:
+			if err != nil || !bytes.Equal(got, data[:declared]) || int64(cap(got)) != declared {
+				t.Fatalf("declared %d: got %q (cap %d), %v; want the first %d bytes, cap %d", declared, got, cap(got), err, declared, declared)
+			}
+		case int64(len(data)) <= limit:
+			if err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("undeclared body of %d within limit %d: got %q, %v", len(data), limit, got, err)
+			}
+		default:
+			if err == nil || isTransient(err) {
+				t.Fatalf("undeclared body of %d past limit %d: err %v; want a final refusal", len(data), limit, err)
+			}
+		}
+	})
 }
 
 // TestDrain: Drain reads what is left, up to 1 MiB, and closes.

@@ -354,8 +354,12 @@ func (s *Server) blobFor(provider string, day toplist.Day, format Format, l *top
 	})
 }
 
-// Encode serialises a list in the given publication format.
+// Encode serialises a list in the given publication format. The gzip
+// format is the stored snapshot document, toplist.EncodeSnapshot.
 func Encode(list *toplist.List, format Format) ([]byte, error) {
+	if format == FormatGzip {
+		return toplist.EncodeSnapshot(list)
+	}
 	var csvBuf bytes.Buffer
 	if err := toplist.WriteCSV(&csvBuf, list); err != nil {
 		return nil, err
@@ -363,16 +367,6 @@ func Encode(list *toplist.List, format Format) ([]byte, error) {
 	switch format {
 	case FormatCSV:
 		return csvBuf.Bytes(), nil
-	case FormatGzip:
-		var out bytes.Buffer
-		zw := gzip.NewWriter(&out)
-		if _, err := zw.Write(csvBuf.Bytes()); err != nil {
-			return nil, err
-		}
-		if err := zw.Close(); err != nil {
-			return nil, err
-		}
-		return out.Bytes(), nil
 	case FormatZip:
 		var out bytes.Buffer
 		zw := zip.NewWriter(&out)

@@ -2,8 +2,6 @@ package pack
 
 import (
 	"bufio"
-	"bytes"
-	"compress/gzip"
 	"crypto/sha256"
 	"encoding/json"
 	"fmt"
@@ -72,10 +70,9 @@ func writePack(f *os.File, src toplist.Source) error {
 
 	raw, _ := src.(toplist.RawSource)
 	offset := int64(headerSize)
-	var encodeBuf bytes.Buffer
 	for _, provider := range dir.Providers {
 		for day := src.First(); day <= src.Last(); day++ {
-			data, hash, err := snapshotDoc(src, raw, &encodeBuf, provider, day)
+			data, hash, err := snapshotDoc(src, raw, provider, day)
 			if err != nil {
 				return err
 			}
@@ -122,9 +119,9 @@ func writePack(f *os.File, src toplist.Source) error {
 
 // snapshotDoc produces one slot's blob bytes and content hash: the
 // source's stored document when raw bytes exist (verified against the
-// claimed hash), a deterministic encode of the decoded list otherwise,
+// claimed hash), the decoded list's toplist.EncodeSnapshot otherwise,
 // nil for an absent slot.
-func snapshotDoc(src toplist.Source, raw toplist.RawSource, buf *bytes.Buffer, provider string, day toplist.Day) ([]byte, string, error) {
+func snapshotDoc(src toplist.Source, raw toplist.RawSource, provider string, day toplist.Day) ([]byte, string, error) {
 	if raw != nil {
 		rs, err := raw.GetRaw(provider, day)
 		if err != nil {
@@ -143,15 +140,9 @@ func snapshotDoc(src toplist.Source, raw toplist.RawSource, buf *bytes.Buffer, p
 	if l == nil {
 		return nil, "", nil
 	}
-	buf.Reset()
-	zw := gzip.NewWriter(buf)
-	err := toplist.WriteCSV(zw, l)
-	if cerr := zw.Close(); err == nil {
-		err = cerr
-	}
+	data, err := toplist.EncodeSnapshot(l)
 	if err != nil {
 		return nil, "", fmt.Errorf("pack: encode %s %v: %w", provider, day, err)
 	}
-	data := append([]byte(nil), buf.Bytes()...)
 	return data, toplist.ContentHash(data), nil
 }

@@ -287,7 +287,7 @@ func (c *Coordinator) assign(ctx context.Context, s *shardSession, day int) erro
 		return err
 	}
 	var open OpenResponse
-	if err := c.doJSON(ctx, peer, "POST", peer.URL()+APIPrefix+"/open", body, &open); err != nil {
+	if err := c.doJSON(ctx, "POST", peer.URL()+APIPrefix+"/open", body, &open); err != nil {
 		return fmt.Errorf("open shard %d on %s: %w", s.index, peer.URL(), err)
 	}
 	if open.Lo != s.lo || open.Hi != s.hi {
@@ -306,7 +306,7 @@ func (c *Coordinator) assign(ctx context.Context, s *shardSession, day int) erro
 	if err != nil {
 		return err
 	}
-	if _, err := c.doRaw(ctx, peer, "POST", peer.URL()+APIPrefix+"/seed/"+open.Session, frame); err != nil {
+	if _, err := c.doRaw(ctx, "POST", peer.URL()+APIPrefix+"/seed/"+open.Session, frame); err != nil {
 		return fmt.Errorf("seed shard %d on %s: %w", s.index, peer.URL(), err)
 	}
 	s.peer, s.id = peer, open.Session
@@ -317,7 +317,7 @@ func (c *Coordinator) assign(ctx context.Context, s *shardSession, day int) erro
 // stepOnce asks s's assigned worker for day's frame and validates it.
 func (c *Coordinator) stepOnce(ctx context.Context, s *shardSession, day int) (*Frame, error) {
 	url := fmt.Sprintf("%s%s/step/%s/%d", s.peer.URL(), APIPrefix, s.id, day)
-	body, err := c.doRaw(ctx, s.peer, "POST", url, nil)
+	body, err := c.doRaw(ctx, "POST", url, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +349,7 @@ func (c *Coordinator) Close() {
 		if s.peer == nil {
 			continue
 		}
-		c.doRaw(ctx, s.peer, "DELETE", s.peer.URL()+APIPrefix+"/session/"+s.id, nil) //nolint:errcheck // best-effort cleanup
+		c.doRaw(ctx, "DELETE", s.peer.URL()+APIPrefix+"/session/"+s.id, nil) //nolint:errcheck // best-effort cleanup
 		s.peer, s.id = nil, ""
 	}
 }
@@ -360,7 +360,7 @@ func (c *Coordinator) Close() {
 // the coordinator's policy. Protocol-level refusals (4xx, including the
 // 409 out-of-order/unseeded conflicts) are final: retrying cannot
 // change a worker's verdict about a malformed request.
-func (c *Coordinator) doRaw(ctx context.Context, peer *fleet.Peer, method, url string, body []byte) ([]byte, error) {
+func (c *Coordinator) doRaw(ctx context.Context, method, url string, body []byte) ([]byte, error) {
 	var out []byte
 	err := c.retry.Do(ctx, func() error {
 		var rd io.Reader
@@ -391,8 +391,8 @@ func (c *Coordinator) doRaw(ctx context.Context, peer *fleet.Peer, method, url s
 }
 
 // doJSON is doRaw plus a JSON-decoded response.
-func (c *Coordinator) doJSON(ctx context.Context, peer *fleet.Peer, method, url string, body []byte, v any) error {
-	out, err := c.doRaw(ctx, peer, method, url, body)
+func (c *Coordinator) doJSON(ctx context.Context, method, url string, body []byte, v any) error {
+	out, err := c.doRaw(ctx, method, url, body)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package toplist
 import (
 	"bufio"
 	"bytes"
+	"compress/gzip"
 	"fmt"
 	"io"
 	"strconv"
@@ -46,6 +47,17 @@ func referenceReadCSV(r io.Reader) (*List, error) {
 		return nil, err
 	}
 	return New(names), nil
+}
+
+// referenceDecode is the snapshot decode DecodeSnapshot is held to:
+// compress/gzip, then referenceReadCSV.
+func referenceDecode(data []byte) (*List, error) {
+	zr, err := gzip.NewReader(bytes.NewReader(data))
+	if err != nil {
+		return nil, err
+	}
+	defer zr.Close()
+	return referenceReadCSV(zr)
 }
 
 // sameDecode reports how got differs from want, two decodes of the

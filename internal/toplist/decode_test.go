@@ -117,18 +117,10 @@ func TestDecodeSnapshotAllocs(t *testing.T) {
 // the same names.
 func TestDecodeSnapshotMatchesReference(t *testing.T) {
 	doc := gzipDoc(t, syntheticList("ref", 40))
-	reference := func(data []byte) (*List, error) {
-		zr, err := gzip.NewReader(bytes.NewReader(data))
-		if err != nil {
-			return nil, err
-		}
-		defer zr.Close()
-		return referenceReadCSV(zr)
-	}
 	check := func(what string, data []byte) {
 		t.Helper()
 		l, err := DecodeSnapshot(data)
-		ref, refErr := reference(data)
+		ref, refErr := referenceDecode(data)
 		if diff := sameDecode(l, err, ref, refErr); diff != "" {
 			t.Fatalf("%s: %s", what, diff)
 		}

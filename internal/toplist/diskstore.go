@@ -1,14 +1,10 @@
 package toplist
 
 import (
-	"compress/gzip"
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -294,9 +290,11 @@ func (ds *DiskStore) Put(provider string, day Day, l *List) error {
 	if l == nil {
 		return fmt.Errorf("toplist: nil list")
 	}
-	return ds.store(provider, day, func(path string) (string, error) {
-		return ds.writeSnapshot(path, l)
-	})
+	data, err := EncodeSnapshot(l)
+	if err != nil {
+		return err
+	}
+	return ds.store(provider, day, data)
 }
 
 // PutRaw stores an already-encoded snapshot document — the gzip CSV
@@ -309,16 +307,15 @@ func (ds *DiskStore) PutRaw(provider string, day Day, data []byte) error {
 	if _, err := DecodeSnapshot(data); err != nil {
 		return fmt.Errorf("toplist: raw snapshot for %s %v does not decode: %w", provider, day, err)
 	}
-	return ds.store(provider, day, func(path string) (string, error) {
-		return ContentHash(data), writeFileAtomic(path, data)
-	})
+	return ds.store(provider, day, data)
 }
 
-// store is the shared Put/PutRaw write path: range check, provider
-// registration, the write itself (which reports the content hash of
-// the bytes it put on disk), presence and hash bookkeeping, and cache
-// invalidation — all under the store lock.
-func (ds *DiskStore) store(provider string, day Day, write func(path string) (string, error)) error {
+// store is the shared Put/PutRaw write path for an encoded document:
+// range check, provider registration, the atomic write, presence and
+// content-hash bookkeeping, and cache invalidation — all but the hash
+// under the store lock.
+func (ds *DiskStore) store(provider string, day Day, data []byte) error {
+	hash := ContentHash(data)
 	ds.mu.Lock()
 	defer ds.mu.Unlock()
 	if day < ds.first || day > ds.last {
@@ -331,8 +328,7 @@ func (ds *DiskStore) store(provider string, day Day, write func(path string) (st
 		ds.present[provider] = make([]bool, ds.daysLocked())
 		ds.man.Providers = append(ds.man.Providers, provider)
 	}
-	hash, err := write(ds.path(provider, day))
-	if err != nil {
+	if err := writeFileAtomic(ds.path(provider, day), data); err != nil {
 		return err
 	}
 	ds.present[provider][int(day-ds.first)] = true
@@ -357,48 +353,12 @@ func (ds *DiskStore) store(provider string, day Day, write func(path string) (st
 	return ds.flushManifestLocked()
 }
 
-// gzipPool recycles gzip compressors across snapshot writes: a
-// gzip.Writer carries ~800 KB of deflate state, and before pooling
-// every Put of a streaming run constructed (and discarded) a fresh one
-// per (provider, day).
-var gzipPool = sync.Pool{
-	New: func() any { return gzip.NewWriter(nil) },
-}
-
-// writeSnapshot writes one gzip CSV atomically (temp file + rename)
-// and returns the content hash of the written document, computed by
-// teeing the compressed stream through the hasher — no second read of
-// what was just written.
-func (ds *DiskStore) writeSnapshot(path string, l *List) (string, error) {
-	tmp := path + ".tmp"
-	f, err := os.Create(tmp)
-	if err != nil {
-		return "", err
-	}
-	h := sha256.New()
-	zw := gzipPool.Get().(*gzip.Writer)
-	zw.Reset(io.MultiWriter(f, h))
-	err = WriteCSV(zw, l)
-	if zerr := zw.Close(); err == nil {
-		err = zerr
-	}
-	zw.Reset(nil) // drop the file handle before pooling
-	gzipPool.Put(zw)
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		os.Remove(tmp) //nolint:errcheck
-		return "", err
-	}
-	return hex.EncodeToString(h.Sum(nil)[:16]), os.Rename(tmp, path)
-}
-
-// writeFileAtomic writes data to path via temp file + rename, the same
-// crash discipline writeSnapshot and the manifest flush use.
+// writeFileAtomic writes data to path via temp file + rename, the
+// crash discipline every snapshot write and the manifest flush use.
 func writeFileAtomic(path string, data []byte) error {
 	tmp := path + ".tmp"
 	if err := os.WriteFile(tmp, data, 0o644); err != nil {
+		os.Remove(tmp) //nolint:errcheck
 		return err
 	}
 	return os.Rename(tmp, path)
