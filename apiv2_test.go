@@ -12,7 +12,7 @@ import (
 	"repro/internal/toplist"
 )
 
-// smallScale is the reduced scale shared by the API v2 tests: big
+// smallScale is the reduced scale shared by the facade's tests: big
 // enough for every provider to publish, small enough to simulate twice
 // in a test run.
 func smallScale() Scale {
@@ -22,7 +22,7 @@ func smallScale() Scale {
 	return scale
 }
 
-// TestStreamCancellationStopsWithinOneDay pins the v2 cancellation
+// TestStreamCancellationStopsWithinOneDay pins the cancellation
 // contract: after ctx is cancelled during day N, no snapshot for any
 // day after N+1 is delivered and the stream returns ctx.Err() — for
 // the serial reference path and the concurrent engine alike.
@@ -181,39 +181,5 @@ func TestOptionValidation(t *testing.T) {
 	bad := NewLab(WithScale(scale), WithSource(src), WithArchiveDir(t.TempDir()))
 	if _, err := bad.Study(); err == nil || !strings.Contains(err.Error(), "mutually exclusive") {
 		t.Fatalf("conflicting lab options surfaced %v", err)
-	}
-}
-
-// TestDeprecatedShimsStillWork keeps the v1 surface alive for external
-// callers: the shims must behave exactly like their v2 equivalents.
-func TestDeprecatedShimsStillWork(t *testing.T) {
-	scale := smallScale()
-	st, err := SimulateScale(scale)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Archive.Get(Alexa, 0) == nil {
-		t.Fatal("shim simulate produced no archive")
-	}
-	days := 0
-	if err := StreamScale(scale, SinkFunc(func(p string, d toplist.Day, l *toplist.List) error {
-		days++
-		return nil
-	})); err != nil {
-		t.Fatal(err)
-	}
-	if days != 3*scale.Population.Days {
-		t.Fatalf("shim stream delivered %d snapshots", days)
-	}
-	lab := NewLabScale(scale)
-	res, err := lab.Run("table1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ID != "table1" {
-		t.Fatalf("shim lab ran %q", res.ID)
-	}
-	if _, err := lab.Study(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -76,7 +76,8 @@ func BenchmarkFig8(b *testing.B)   { benchExperiment(b, "fig8") }
 func BenchmarkTTL(b *testing.B)    { benchExperiment(b, "ttl") }
 
 // BenchmarkAblationVolume flips Umbrella to query-volume ranking and
-// regenerates the Fig. 5 comparison (DESIGN.md ablation).
+// regenerates the Fig. 5 comparison (the ablation-volume experiment in
+// internal/experiments/exp_atlas.go).
 func BenchmarkAblationVolume(b *testing.B) { benchExperiment(b, "ablation-volume") }
 
 // BenchmarkAggregation regenerates the §9 Tranco-style aggregation
@@ -235,8 +236,8 @@ func BenchmarkRunAll(b *testing.B) {
 }
 
 // BenchmarkAblationWindow compares the EMA window approximation against
-// the exact ring-buffer sliding window (DESIGN.md ablation: memory vs
-// fidelity).
+// the exact ring-buffer sliding window: memory vs fidelity, where
+// providers.TestEMAApproximatesWindow checks the fidelity.
 func BenchmarkAblationWindow(b *testing.B) {
 	w, err := population.Build(population.TestConfig())
 	if err != nil {

@@ -75,6 +75,12 @@ func startShardWorkers(t *testing.T, n int) ([]string, []*httptest.Server) {
 	return urls, srvs
 }
 
+// withWorkers returns s with its engine parallelism set to n.
+func withWorkers(s Scale, n int) Scale {
+	s.Workers = n
+	return s
+}
+
 // TestDistributedEquivalence pins the determinism contract of the
 // distributed generation path: the archive produced with per-day
 // stepping farmed out to remote shard workers over real HTTP sockets
@@ -85,14 +91,14 @@ func TestDistributedEquivalence(t *testing.T) {
 	scale := distScale()
 	ctx := context.Background()
 
-	serial, err := Simulate(ctx, WithScale(scale), WithWorkers(1))
+	serial, err := Simulate(ctx, WithScale(withWorkers(scale, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := archiveDigest(t, serial.Archive)
 
 	t.Run("pipelined", func(t *testing.T) {
-		study, err := Simulate(ctx, WithScale(scale), WithWorkers(4))
+		study, err := Simulate(ctx, WithScale(withWorkers(scale, 4)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -145,7 +151,7 @@ func TestDistributedKillReassign(t *testing.T) {
 	scale := distScale()
 	ctx := context.Background()
 
-	serial, err := Simulate(ctx, WithScale(scale), WithWorkers(1))
+	serial, err := Simulate(ctx, WithScale(withWorkers(scale, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,9 +15,10 @@ import (
 // TestEndToEndCollectionPipeline exercises the full §4→§6→§9 pipeline
 // the way a researcher would run it against real providers: simulate
 // the ecosystem, publish the archive over HTTP in the providers'
-// publication format, collect it back with a Mirror, verify the
-// mirrored archive is identical, and then run the stability analysis
-// and the hygiene recommendations on the *collected* data.
+// publication format, collect it back slot by slot with the listserv
+// client, verify the collected archive is identical, and then run the
+// stability analysis and the hygiene recommendations on the
+// *collected* data.
 func TestEndToEndCollectionPipeline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("end-to-end network pipeline")
@@ -38,11 +39,18 @@ func TestEndToEndCollectionPipeline(t *testing.T) {
 	ts := httptest.NewServer(listserv.NewServer(study.Archive).WithZones(zones))
 	defer ts.Close()
 	client := listserv.NewClient(ts.URL)
-	mirror := listserv.NewMirror(client, study.Archive.Providers())
 	ctx := context.Background()
-	collected, err := mirror.Collect(ctx, study.Archive.First(), study.Archive.Last())
-	if err != nil {
-		t.Fatal(err)
+	collected := toplist.NewArchive(study.Archive.First(), study.Archive.Last())
+	for _, p := range study.Archive.Providers() {
+		for d := study.Archive.First(); d <= study.Archive.Last(); d++ {
+			l, err := client.FetchDay(ctx, p, d)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := collected.Put(p, d, l); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	if !collected.Complete() {
 		t.Fatal("collected archive incomplete")

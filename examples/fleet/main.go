@@ -30,6 +30,8 @@ import (
 	"time"
 
 	toplists "repro"
+	"repro/internal/fleet"
+	"repro/internal/serve"
 )
 
 func main() {
@@ -51,24 +53,24 @@ func main() {
 func runMirrorNode(name, dir, addr, peerCSV string) {
 	logger := log.New(os.Stderr, "["+name+"] ", log.Ltime)
 	ctx := context.Background()
-	peers, err := toplists.NewPeerSet(strings.Split(peerCSV, ","),
-		toplists.WithPeerBackoff(200*time.Millisecond, 2*time.Second))
+	peers, err := fleet.NewPeerSet(strings.Split(peerCSV, ","),
+		fleet.WithPeerBackoff(200*time.Millisecond, 2*time.Second))
 	if err != nil {
 		logger.Fatal(err)
 	}
 	var store *toplists.DiskStore
 	for {
-		store, err = toplists.BootstrapArchive(ctx, dir, peers)
+		store, err = fleet.Bootstrap(ctx, dir, peers)
 		if err == nil {
 			break
 		}
 		logger.Printf("bootstrap: %v (retrying)", err)
 		time.Sleep(200 * time.Millisecond)
 	}
-	metrics := toplists.NewMetrics()
-	mirror := toplists.NewMirror(store, peers,
-		toplists.WithMirrorLogger(logger),
-		toplists.WithMirrorMetrics(metrics))
+	metrics := serve.NewMetrics()
+	mirror := fleet.NewMirror(store, peers,
+		fleet.WithMirrorLogger(logger),
+		fleet.WithMirrorMetrics(metrics))
 
 	mux := http.NewServeMux()
 	mux.Handle("/", toplists.ArchiveHandler(store))

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/fleet"
 	"repro/internal/httpx"
 	"repro/internal/toplist"
 )
@@ -51,10 +52,10 @@ func (g *chaosGate) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // fastPeerOpts keeps chaos-test failover snappy: one attempt per wire
 // call (the PeerSet's own failover replaces the client's retry loop)
 // and a benched peer stays benched for the whole test.
-func fastPeerOpts() []PeerOption {
-	return []PeerOption{
-		WithPeerBackoff(time.Hour, time.Hour),
-		WithPeerRemoteOptions(toplist.WithRemoteRetry(httpx.Policy{Attempts: 1})),
+func fastPeerOpts() []fleet.PeerOption {
+	return []fleet.PeerOption{
+		fleet.WithPeerBackoff(time.Hour, time.Hour),
+		fleet.WithPeerRemoteOptions(toplist.WithRemoteRetry(httpx.Policy{Attempts: 1})),
 	}
 }
 
@@ -104,15 +105,15 @@ func TestFleetChaosConvergence(t *testing.T) {
 
 	// Node C: bootstrap from A and replicate fully while A is healthy.
 	dirC := filepath.Join(base, "c")
-	peersC, err := NewPeerSet([]string{srvA.URL}, fastPeerOpts()...)
+	peersC, err := fleet.NewPeerSet([]string{srvA.URL}, fastPeerOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeC, err := BootstrapArchive(ctx, dirC, peersC)
+	storeC, err := fleet.Bootstrap(ctx, dirC, peersC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirrorC := NewMirror(storeC, peersC)
+	mirrorC := fleet.NewMirror(storeC, peersC)
 	mirrorC.SyncOnce(ctx)
 	if !storeC.Complete() {
 		t.Fatalf("node C incomplete after sync: %d missing", len(storeC.Missing()))
@@ -123,15 +124,15 @@ func TestFleetChaosConvergence(t *testing.T) {
 	// Node B bootstraps against [A, C], then A dies five snapshots into
 	// B's replication. B's mirror loops must fail over to C and finish.
 	dirB := filepath.Join(base, "b")
-	peersB, err := NewPeerSet([]string{srvA.URL, srvC.URL}, fastPeerOpts()...)
+	peersB, err := fleet.NewPeerSet([]string{srvA.URL, srvC.URL}, fastPeerOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
-	storeB, err := BootstrapArchive(ctx, dirB, peersB)
+	storeB, err := fleet.Bootstrap(ctx, dirB, peersB)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mirrorB := NewMirror(storeB, peersB)
+	mirrorB := fleet.NewMirror(storeB, peersB)
 	gate.arm(5)
 
 	loopCtx, stopLoops := context.WithCancel(ctx)

@@ -1,8 +1,6 @@
 package analysis
 
 import (
-	"sort"
-
 	"repro/internal/stats"
 	"repro/internal/toplist"
 )
@@ -188,12 +186,5 @@ func PresenceQuantiles(e *stats.ECDF, fractions []float64) []float64 {
 	for i, f := range fractions {
 		out[i] = e.Eval(f)
 	}
-	return out
-}
-
-// SortedSizes returns sizes ascending (helper for rendering).
-func SortedSizes(sizes []int) []int {
-	out := append([]int(nil), sizes...)
-	sort.Ints(out)
 	return out
 }

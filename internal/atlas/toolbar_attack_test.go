@@ -1,20 +1,18 @@
 package atlas
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/providers"
-	"repro/internal/toolbar"
 	"repro/internal/toplist"
 	"repro/internal/traffic"
 )
 
 // TestToolbarAttackEntersAlexa runs the Le Pochat-style toolbar attack
-// end to end through the §7.1 model: a farm of fake extension installs
-// reports daily visits to the attacker's domain, the collector
-// aggregates them into panel statistics, FeedInjector forwards those
-// into the Alexa generator, and the domain enters the published list.
+// through the §7.1 model: a farm of fake extension installs, each
+// loading the attacker's page three times a day, reaches the Alexa
+// generator as bots distinct panel visitors and 3 × bots page views a
+// day, and the domain enters the published list.
 func TestToolbarAttackEntersAlexa(t *testing.T) {
 	m := model(t)
 	const (
@@ -22,27 +20,10 @@ func TestToolbarAttackEntersAlexa(t *testing.T) {
 		bots     = 400
 		days     = 21
 	)
-	collector := toolbar.NewCollector()
-	clients := make([]*toolbar.Client, bots)
-	for i := range clients {
-		clients[i] = collector.Install(toolbar.Demographics{
-			Age: 30, Gender: "x", InstallLocation: "home",
-		})
-	}
-	for day := 0; day < days; day++ {
-		for i, cl := range clients {
-			// Each bot loads the attacker's page a few times per day.
-			for v := 0; v < 3; v++ {
-				url := fmt.Sprintf("https://%s/p/%d?bot=%d", attacker, v, i)
-				if _, sent := cl.Visit(day, url, "https://google.com/?q=x", true); !sent {
-					t.Fatal("loaded visit not transmitted")
-				}
-			}
-		}
-	}
-
 	inj := traffic.NewInjector()
-	toolbar.FeedInjector(collector, inj, attacker, 0, days-1)
+	for day := 0; day < days; day++ {
+		inj.Add(attacker, day, bots, 3*bots)
+	}
 
 	opts := costOpts()
 	opts.AlexaInjector = inj
@@ -60,41 +41,23 @@ func TestToolbarAttackEntersAlexa(t *testing.T) {
 		t.Fatal("toolbar attack failed: attacker not listed")
 	}
 	t.Logf("attacker reached Alexa rank %d with %d bots x 3 views/day for %d days", rank, bots, days)
-
-	// A visits-never-loaded farm must achieve nothing: the §7.1
-	// "loaded-page gating" stops reports from non-existent pages.
-	ghostCollector := toolbar.NewCollector()
-	ghost := ghostCollector.Install(toolbar.Demographics{})
-	for day := 0; day < days; day++ {
-		if _, sent := ghost.Visit(day, "https://ghost-attacker.com/", "", false); sent {
-			t.Fatal("unloaded visit was transmitted")
-		}
-	}
-	if ghostCollector.Stats(0, "ghost-attacker.com") != nil {
-		t.Fatal("unloaded visits aggregated")
-	}
 }
 
 // TestToolbarAttackScalesWithBots confirms the panel mechanism's
 // documented behaviour: more distinct visitors beat more page views
 // from few visitors (the same unique-source principle §7.2 finds for
-// Umbrella).
+// Umbrella). A farm of toolbar bots, each loading the page viewsPerBot
+// times a day, reaches the Alexa generator as bots distinct panel
+// visitors and bots × viewsPerBot page views a day.
 func TestToolbarAttackScalesWithBots(t *testing.T) {
 	m := model(t)
 	const days = 14
 	rankFor := func(bots, viewsPerBot int) int {
-		collector := toolbar.NewCollector()
 		const domain = "scaling-test.com"
-		for i := 0; i < bots; i++ {
-			cl := collector.Install(toolbar.Demographics{})
-			for day := 0; day < days; day++ {
-				for v := 0; v < viewsPerBot; v++ {
-					cl.Visit(day, "https://"+domain+"/", "", true) //nolint:errcheck
-				}
-			}
-		}
 		inj := traffic.NewInjector()
-		toolbar.FeedInjector(collector, inj, domain, 0, days-1)
+		for day := 0; day < days; day++ {
+			inj.Add(domain, day, float64(bots), float64(bots*viewsPerBot))
+		}
 		opts := costOpts()
 		opts.AlexaInjector = inj
 		opts.Enabled = []string{providers.Alexa}

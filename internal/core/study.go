@@ -111,13 +111,8 @@ func NewEngine(s Scale) (*population.World, *engine.Engine, error) {
 	return w, engine.New(g, engine.Config{Workers: s.Workers}), nil
 }
 
-// Run builds the world, generates the archive (concurrently, per
-// s.Workers), and prepares the analysis layers.
-func Run(s Scale) (*Study, error) {
-	return RunContext(context.Background(), s, nil)
-}
-
-// RunContext is Run with cancellation and an optional tee: when tee is
+// RunContext builds the world, generates the archive (concurrently,
+// per s.Workers), and prepares the analysis layers. When tee is
 // non-nil every generated snapshot is additionally streamed into it
 // (e.g. a toplist.DiskStore persisting the run), and cancelling ctx
 // stops the engine at the next day boundary.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func TestRunStudy(t *testing.T) {
 	s := TestScale()
 	s.Population.Days = 20
 	s.BurnInDays = 30
-	st, err := Run(s)
+	st, err := RunContext(context.Background(), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +69,7 @@ func TestRunStudy(t *testing.T) {
 func TestRunRejectsBadScale(t *testing.T) {
 	bad := TestScale()
 	bad.ListSize = 5
-	if _, err := Run(bad); err == nil {
+	if _, err := RunContext(context.Background(), bad, nil); err == nil {
 		t.Fatal("bad scale should fail")
 	}
 }
@@ -80,7 +81,7 @@ func TestRunFromRejectsShiftedArchive(t *testing.T) {
 	s := TestScale()
 	s.Population.Days = 20
 	s.BurnInDays = 30
-	st, err := Run(s)
+	st, err := RunContext(context.Background(), s, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

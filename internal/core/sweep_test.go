@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/providers"
@@ -25,7 +26,7 @@ func TestSeedSweep(t *testing.T) {
 		s.ListSize = 1200
 		s.HeadSize = 50
 		s.BurnInDays = 40
-		st, err := Run(s)
+		st, err := RunContext(context.Background(), s, nil)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

@@ -27,12 +27,6 @@ type RRLConfig struct {
 	Slip int
 }
 
-// DefaultRRL matches common authoritative defaults (scaled for tests:
-// production uses ~10-100 qps).
-func DefaultRRL() RRLConfig {
-	return RRLConfig{RatePerSecond: 20, Burst: 40, Slip: 2}
-}
-
 // rrl is a per-source token bucket table with lazy refill.
 type rrl struct {
 	cfg RRLConfig

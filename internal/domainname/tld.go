@@ -67,13 +67,6 @@ func init() {
 // registry.
 func IsValidTLD(tld string) bool { return validTLDSet[tld] }
 
-// ValidTLDs returns a copy of the registry.
-func ValidTLDs() []string {
-	out := make([]string, len(validTLDs))
-	copy(out, validTLDs)
-	return out
-}
-
 // InvalidTLDSamples returns labels usable as junk TLDs, none of which are
 // delegated.
 func InvalidTLDSamples() []string {

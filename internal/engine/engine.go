@@ -1,8 +1,7 @@
 // Package engine owns the simulation loop: burn the provider windows
 // in, step each simulated day, and stream the day's snapshots into a
-// SnapshotSink. It is the concurrent spine of the system — the loop
-// that used to be hardcoded in core.Run and providers.Generator.Run —
-// and is concurrent at three levels:
+// SnapshotSink. It is the concurrent spine of the system, concurrent
+// at three levels:
 //
 //  1. the hot per-domain loops (signal synthesis, per-base score
 //     aggregation, EMA updates) are sharded across workers inside

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -70,6 +71,11 @@ func testPeerSet(t *testing.T, urls ...string) *PeerSet {
 	ps.backoff.Jitter = func() float64 { return 0.5 } // backoff = exactly base<<n
 	return ps
 }
+
+// fail and ok record one failed and one successful conversation, made
+// by a caller whose context is live.
+func (p *Peer) fail() { p.Record(context.Background(), errors.New("conversation failed")) }
+func (p *Peer) ok()   { p.Record(context.Background(), nil) }
 
 // corruptSlot overwrites one snapshot file on disk with garbage,
 // simulating bit rot under a live store.
@@ -376,6 +382,62 @@ func TestCancelledRevalidationKeepsPeerHealthy(t *testing.T) {
 	}
 	if len(ps.Available()) != 1 {
 		t.Fatal("peer benched after a cancelled round")
+	}
+}
+
+// TestCancelledCallerNeverChargesPeer: a caller whose context ends
+// while Peer.Remote opens the peer, or while PeerSet.Revalidate
+// revalidates its manifest, leaves the peer with no failure and still
+// available, because a cancelled caller is never the peer's fault.
+func TestCancelledCallerNeverChargesPeer(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		open bool // open the peer's client before the held request
+		call func(t *testing.T, ctx context.Context, ps *PeerSet)
+	}{
+		{"Remote", false, func(t *testing.T, ctx context.Context, ps *PeerSet) {
+			if _, err := ps.Peers()[0].Remote(ctx); err == nil {
+				t.Error("Remote succeeded through a held manifest request")
+			}
+		}},
+		{"Revalidate", true, func(t *testing.T, ctx context.Context, ps *PeerSet) { ps.Revalidate(ctx) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inner := archived.NewServer(seedStore(t, []string{"alexa"}, 2))
+			var hold atomic.Bool
+			held := make(chan struct{})
+			ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if strings.HasSuffix(r.URL.Path, "/manifest") && hold.CompareAndSwap(true, false) {
+					close(held)
+					<-r.Context().Done()
+					return
+				}
+				inner.ServeHTTP(w, r)
+			}))
+			t.Cleanup(ts.Close)
+			ps := testPeerSet(t, ts.URL)
+			p := ps.Peers()[0]
+			if tc.open {
+				if _, err := p.Remote(context.Background()); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			hold.Store(true)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			go func() {
+				<-held
+				cancel()
+			}()
+			tc.call(t, ctx, ps)
+			if got := p.Failures(); got != 0 {
+				t.Fatalf("cancelled %s charged the peer: %d failures", tc.name, got)
+			}
+			if len(ps.Available()) != 1 {
+				t.Fatalf("peer benched after a cancelled %s", tc.name)
+			}
+		})
 	}
 }
 

@@ -157,10 +157,7 @@ func (m *Mirror) syncPeer(ctx context.Context, p *Peer) {
 	}
 	changed, err := rem.Revalidate(ctx)
 	if err != nil {
-		// As for a drain: a round cancelled mid-request says nothing
-		// about the peer, and benching it would starve later rounds.
-		if ctx.Err() == nil {
-			p.fail()
+		if p.Record(ctx, err) {
 			m.logf("peer %s: revalidate: %v", p.URL(), err)
 		}
 		return
@@ -180,14 +177,13 @@ func (m *Mirror) syncPeer(ctx context.Context, p *Peer) {
 			return // steady state: one conditional GET, nothing else
 		}
 	}
-	if err := m.drainPeer(ctx, p, rem); err != nil {
-		if ctx.Err() == nil {
-			p.fail()
-			m.logf("peer %s: drain: %v", p.URL(), err)
-		}
+	err = m.drainPeer(ctx, p, rem)
+	if p.Record(ctx, err) {
+		m.logf("peer %s: drain: %v", p.URL(), err)
+	}
+	if err != nil {
 		return
 	}
-	p.ok()
 	m.mu.Lock()
 	m.drained[p.URL()] = true
 	m.mu.Unlock()

@@ -50,7 +50,7 @@ func (p *Peer) Failures() int {
 }
 
 // Remote returns the peer's wire client, opening it lazily on first
-// use. An open failure counts against the peer's health (the manifest
+// use. The open is recorded against the peer's health (the manifest
 // fetch inside OpenRemote is the probe); the next attempt after the
 // backoff expires retries the open.
 func (p *Peer) Remote(ctx context.Context) (*toplist.Remote, error) {
@@ -60,53 +60,43 @@ func (p *Peer) Remote(ctx context.Context) (*toplist.Remote, error) {
 		return p.remote, nil
 	}
 	rem, err := toplist.OpenRemote(ctx, p.url, p.set.remoteOpts...)
+	p.recordLocked(ctx, err)
 	if err != nil {
-		p.failLocked()
 		return nil, err
 	}
-	p.okLocked()
 	p.remote = rem
 	return rem, nil
 }
 
-// MarkFailed records an externally observed failure against the peer,
-// advancing its backoff exactly as the set's own fetch path would. The
-// shard coordinator uses it to fold worker-RPC outcomes into the same
-// health state that drives healthiest-first assignment.
-func (p *Peer) MarkFailed() { p.fail() }
-
-// MarkOK records an externally observed success, clearing the peer's
-// failure count and backoff window. Counterpart of MarkFailed.
-func (p *Peer) MarkOK() { p.ok() }
-
-// fail records one failed interaction: the consecutive-failure count
-// grows and the peer is benched for the set's backoff Delay — the wait
-// the wire clients use between retries, applied here between whole
-// conversations.
-func (p *Peer) fail() {
+// Record folds the outcome of one conversation with the peer, made
+// under ctx, into its health; every peer charge goes through it. A nil
+// err clears the failure count and backoff. A failure charges the
+// peer: the consecutive-failure count grows and the peer is benched
+// for the set's backoff Delay (the wait the wire clients use between
+// retries, applied here between whole conversations) — unless ctx is
+// done, because a cancelled caller is never the peer's fault. Record
+// reports whether it charged the peer.
+func (p *Peer) Record(ctx context.Context, err error) bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.failLocked()
+	return p.recordLocked(ctx, err)
 }
 
-func (p *Peer) failLocked() {
+func (p *Peer) recordLocked(ctx context.Context, err error) bool {
+	switch {
+	case err == nil:
+		p.failures = 0
+		p.until = time.Time{}
+		return false
+	case ctx.Err() != nil:
+		return false
+	}
 	p.failures++
 	p.until = p.set.now().Add(p.set.backoff.Delay(p.failures))
 	if p.set.onFail != nil {
 		p.set.onFail(p.url)
 	}
-}
-
-// ok records one successful conversation, resetting the peer's health.
-func (p *Peer) ok() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.okLocked()
-}
-
-func (p *Peer) okLocked() {
-	p.failures = 0
-	p.until = time.Time{}
+	return true
 }
 
 // available reports whether the peer is out of backoff at now.
@@ -209,9 +199,9 @@ func (ps *PeerSet) Available() []*Peer {
 // Revalidate conditionally refreshes every available peer's manifest
 // (opening clients lazily), so later FetchRaw calls see each peer's
 // current day range and provider set — the cheap pre-pass a gap-filler
-// runs once per collection round. Failures are recorded against the
-// peers and otherwise ignored; a 304 costs nothing and changes
-// nothing.
+// runs once per collection round. Outcomes are recorded against the
+// peers (see Record) and failures otherwise ignored; a 304 costs
+// nothing and changes nothing.
 func (ps *PeerSet) Revalidate(ctx context.Context) {
 	for _, p := range ps.Available() {
 		if ctx.Err() != nil {
@@ -221,11 +211,8 @@ func (ps *PeerSet) Revalidate(ctx context.Context) {
 		if err != nil {
 			continue // Remote already recorded the failure
 		}
-		if _, err := rem.Revalidate(ctx); err != nil {
-			p.fail()
-			continue
-		}
-		p.ok()
+		_, err = rem.Revalidate(ctx)
+		p.Record(ctx, err)
 	}
 }
 
@@ -254,18 +241,17 @@ func (ps *PeerSet) FetchRaw(ctx context.Context, provider string, day toplist.Da
 			if err := ctx.Err(); err != nil {
 				return nil, nil, err
 			}
-			if isCorruptRefusal(err) {
-				// The peer is up but refuses this one slot (its copy is
-				// corrupt): a slot-level verdict, not peer-level trouble.
-				continue
+			if !isCorruptRefusal(err) {
+				// A refusal of this one slot (the peer's copy is corrupt)
+				// is a slot-level verdict, not peer-level trouble.
+				p.Record(ctx, err)
 			}
-			p.fail()
 			continue
 		}
 		if raw == nil {
 			continue // the peer has the same gap
 		}
-		p.ok()
+		p.Record(ctx, nil)
 		if wantHash == "" || raw.Hash == wantHash {
 			return raw, p, nil
 		}

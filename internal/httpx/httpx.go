@@ -27,6 +27,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net/http"
 	"time"
@@ -152,7 +153,13 @@ func ReadBody(resp *http.Response, limit int64) ([]byte, error) {
 		data = make([]byte, n)
 		_, err = io.ReadFull(resp.Body, data)
 	default:
-		data, err = io.ReadAll(io.LimitReader(resp.Body, limit+1))
+		// One byte past the limit tells a body at the limit from one
+		// over it; no body runs past a limit of MaxInt64.
+		probe := limit
+		if probe < math.MaxInt64 {
+			probe++
+		}
+		data, err = io.ReadAll(io.LimitReader(resp.Body, probe))
 		if err == nil && int64(len(data)) > limit {
 			return nil, fmt.Errorf("%s: body exceeds %d bytes", resp.Request.URL, limit)
 		}

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -225,9 +226,9 @@ func response(declared int64, b *body) *http.Response {
 }
 
 func TestReadBody(t *testing.T) {
-	const limit = 8
 	for _, tc := range []struct {
 		name      string
+		limit     int64 // 8 when zero
 		declared  int64
 		data      string
 		err       error // what the body returns after data
@@ -244,8 +245,13 @@ func TestReadBody(t *testing.T) {
 		{name: "undeclared at limit", declared: -1, data: "12345678", want: "12345678"},
 		{name: "undeclared past limit", declared: -1, data: "123456789", fail: true},
 		{name: "undeclared, cut short", declared: -1, data: "hel", err: io.ErrUnexpectedEOF, fail: true, transient: true},
+		{name: "undeclared, largest limit", limit: math.MaxInt64, declared: -1, data: "hello", want: "hello"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			limit := tc.limit
+			if limit == 0 {
+				limit = 8
+			}
 			b := &body{r: strings.NewReader(tc.data), err: tc.err}
 			got, err := ReadBody(response(tc.declared, b), limit)
 			if tc.fail {
@@ -277,6 +283,8 @@ func TestReadBody(t *testing.T) {
 // that capacity, or a transient error when the body is shorter; and an
 // undeclared body comes back whole when it fits the limit and is
 // refused as final otherwise. The seeds are TestReadBody's cases.
+// Limits range up to MaxInt64; declared lengths are bounded instead,
+// since ReadBody allocates one within the limit up front.
 func FuzzReadBody(f *testing.F) {
 	for _, tc := range []struct {
 		declared int64
@@ -287,9 +295,10 @@ func FuzzReadBody(f *testing.F) {
 	} {
 		f.Add(tc.declared, []byte(tc.data), int64(8))
 	}
+	f.Add(int64(-1), []byte("hello"), int64(math.MaxInt64))
 	f.Fuzz(func(t *testing.T, declared int64, data []byte, limit int64) {
-		if limit < 0 || limit > 1<<20 {
-			return // no limit is negative, and ReadBody may allocate up to limit bytes
+		if limit < 0 || (declared > 1<<20 && declared <= limit) {
+			return // no limit is negative; a declared length within it is allocated
 		}
 		b := &body{r: bytes.NewReader(data)}
 		got, err := ReadBody(response(declared, b), limit)

@@ -35,9 +35,9 @@ const maxBodyBytes = 256 << 20
 
 // etagCacheSize bounds the validator cache. A daemon holding one
 // Client for its lifetime fetches each slot once (collectd skips the
-// slots it has stored, Mirror the ones it has collected), so an
-// unbounded cache would keep every list it ever collected; the 304
-// only pays off when the same URL is fetched again soon after.
+// slots it has stored), so an unbounded cache would keep every list it
+// ever collected; the 304 only pays off when the same URL is fetched
+// again soon after.
 const etagCacheSize = 16
 
 type cachedDoc struct {
@@ -47,10 +47,6 @@ type cachedDoc struct {
 
 // ClientOption configures a Client.
 type ClientOption func(*Client)
-
-// WithHTTPClient substitutes the underlying *http.Client (timeouts,
-// transports, test doubles).
-func WithHTTPClient(h *http.Client) ClientOption { return func(c *Client) { c.httpc = h } }
 
 // WithFormat selects the download encoding (default FormatZip, the
 // Alexa publication format).
@@ -74,8 +70,8 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 }
 
 // IsNotFound reports whether err is a 404 *httpx.StatusError — the
-// signal a Mirror uses to distinguish "snapshot not published" from an
-// outage.
+// signal a collector uses to distinguish "snapshot not published" from
+// an outage.
 func IsNotFound(err error) bool {
 	var se *httpx.StatusError
 	return errors.As(err, &se) && se.Code == http.StatusNotFound

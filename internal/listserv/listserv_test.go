@@ -540,157 +540,6 @@ func TestClientContextCancellation(t *testing.T) {
 	}
 }
 
-func TestMirrorCollectRebuildsArchive(t *testing.T) {
-	arch := testArchive(t, 6)
-	ts := httptest.NewServer(NewServer(arch))
-	defer ts.Close()
-
-	c := instantClient(ts.URL)
-	m := NewMirror(c, []string{"alexa", "umbrella", "majestic"})
-	got, err := m.Collect(context.Background(), 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Complete() {
-		t.Fatal("mirrored archive incomplete")
-	}
-	for _, p := range arch.Providers() {
-		for d := toplist.Day(0); d <= 5; d++ {
-			if !sameList(got.Get(p, d), arch.Get(p, d)) {
-				t.Fatalf("mismatch at %s day %v", p, d)
-			}
-		}
-	}
-	if len(m.Gaps()) != 0 {
-		t.Errorf("gaps = %v, want none", m.Gaps())
-	}
-}
-
-func TestMirrorRecordsGaps(t *testing.T) {
-	// umbrella misses days 2 and 3 (provider outage).
-	arch := toplist.NewArchive(0, 4)
-	for _, p := range []string{"alexa", "umbrella"} {
-		for d := toplist.Day(0); d <= 4; d++ {
-			if p == "umbrella" && (d == 2 || d == 3) {
-				continue
-			}
-			arch.Put(p, d, toplist.New([]string{fmt.Sprintf("%s-%d.com", p, d)})) //nolint:errcheck
-		}
-	}
-	ts := httptest.NewServer(NewServer(arch))
-	defer ts.Close()
-
-	m := NewMirror(instantClient(ts.URL), []string{"alexa", "umbrella"})
-	got, err := m.Collect(context.Background(), 0, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gaps := m.Gaps()
-	if !reflect.DeepEqual(gaps["umbrella"], []toplist.Day{2, 3}) {
-		t.Errorf("umbrella gaps = %v, want [2 3]", gaps["umbrella"])
-	}
-	if len(gaps["alexa"]) != 0 {
-		t.Errorf("alexa gaps = %v, want none", gaps["alexa"])
-	}
-	run, ok := LongestContinuousRun(got)
-	if !ok || run != (Run{First: 0, Last: 1}) {
-		t.Errorf("longest run = %+v ok=%v, want days [0,1]", run, ok)
-	}
-}
-
-func TestMirrorAbortsOnPersistentError(t *testing.T) {
-	arch := testArchive(t, 2)
-	ts := httptest.NewServer(flakyHandler(1000, http.StatusServiceUnavailable, NewServer(arch)))
-	defer ts.Close()
-
-	c := instantClient(ts.URL)
-	c.retry.Attempts = 2
-	m := NewMirror(c, []string{"alexa"})
-	if _, err := m.Collect(context.Background(), 0, 1); err == nil {
-		t.Fatal("want error from persistent outage")
-	}
-}
-
-// TestMirrorFollowsLivePublisher follows a publisher the way
-// examples/mirror does, re-collecting the whole range on every tick,
-// for more days than the client's validator cache covers. A tick
-// downloads only what the mirror does not hold yet: an unpublished
-// day is asked for (404, a gap) until it is published and downloaded,
-// and an already-collected day costs no request at all.
-func TestMirrorFollowsLivePublisher(t *testing.T) {
-	days := etagCacheSize/3 + 4
-	arch := testArchive(t, days)
-	gk := NewGatekeeper(arch, 0)
-	inner := NewServerAt(gk)
-	var requests, full atomic.Int64
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		inner.ServeHTTP(sw, r)
-		requests.Add(1)
-		if sw.code == http.StatusOK {
-			full.Add(1)
-		}
-	}))
-	defer ts.Close()
-
-	providers := []string{"alexa", "umbrella", "majestic"}
-	m := NewMirror(instantClient(ts.URL), providers)
-	collect := func(d toplist.Day, wantFull int) {
-		t.Helper()
-		requests.Store(0)
-		full.Store(0)
-		// CollectDay past the previous archive window fails; re-collect
-		// the full range instead.
-		if _, err := m.Collect(context.Background(), 0, d); err != nil {
-			t.Fatal(err)
-		}
-		if requests.Load() != int64(len(providers)) || full.Load() != int64(wantFull) {
-			t.Fatalf("collect [0,%v]: %d requests, %d full downloads; want %d and %d",
-				d, requests.Load(), full.Load(), len(providers), wantFull)
-		}
-	}
-	collect(0, len(providers))
-	for d := toplist.Day(1); d < toplist.Day(days); d++ {
-		collect(d, 0) // not published yet: one 404 per provider
-		if gaps := m.Gaps(); len(gaps) != len(providers) {
-			t.Fatalf("day %v: gaps = %v, want one per provider", d, gaps)
-		}
-		// Day-by-day: publish, then collect, like a daily cron.
-		gk.Advance(d)
-		collect(d, len(providers))
-	}
-	final := m.Archive()
-	if !final.Complete() || len(m.Gaps()) != 0 {
-		t.Fatalf("live-followed archive incomplete; gaps %v", m.Gaps())
-	}
-	if final.Days() != days {
-		t.Fatalf("days = %d, want %d", final.Days(), days)
-	}
-	for _, p := range providers {
-		for d := toplist.Day(0); d < toplist.Day(days); d++ {
-			if !sameList(final.Get(p, d), arch.Get(p, d)) {
-				t.Fatalf("mismatch at %s day %v", p, d)
-			}
-		}
-	}
-}
-
-func TestLongestContinuousRunEdgeCases(t *testing.T) {
-	// Empty archive: no providers at all.
-	a := toplist.NewArchive(0, 3)
-	if _, ok := LongestContinuousRun(a); ok {
-		t.Error("empty archive should have no run")
-	}
-	// Run at the end wins over a shorter run at the start.
-	a.Put("p", 0, toplist.New([]string{"a.com"})) //nolint:errcheck
-	a.Put("p", 2, toplist.New([]string{"b.com"})) //nolint:errcheck
-	a.Put("p", 3, toplist.New([]string{"c.com"})) //nolint:errcheck
-	run, ok := LongestContinuousRun(a)
-	if !ok || run != (Run{First: 2, Last: 3}) {
-		t.Errorf("run = %+v, want [2,3]", run)
-	}
-}
-
 func TestEncodeDecodePropertyQuick(t *testing.T) {
 	// Round-trip property over arbitrary small domain lists.
 	cfg := &quick.Config{MaxCount: 40}

@@ -6,10 +6,10 @@
 // many months. This package reproduces that pipeline end to end: a
 // Server publishes any toplist.Source the way providers publish their
 // lists (dated CSV documents, also gzip- and zip-wrapped, with strong
-// validators for caching), a Client downloads and decodes snapshots
-// with retries and conditional requests, and a Mirror drives a Client
-// once per simulated day to rebuild an Archive — including the gap
-// handling a real longitudinal collection needs.
+// validators for caching), and a Client downloads and decodes
+// snapshots with retries and conditional requests. cmd/collectd drives
+// a Client once per published day to rebuild a DiskStore — including
+// the gap handling a real longitudinal collection needs.
 //
 // These are the provider-shaped routes (one CSV per day, formats per
 // provider); the structured archive-to-archive wire API lives in
@@ -257,8 +257,8 @@ func NewServer(archive toplist.Source, opts ...Option) *Server {
 }
 
 // NewServerAt publishes through a Gatekeeper, letting the caller
-// control day-by-day visibility (see Mirror tests for the live-
-// collection scenario).
+// control day-by-day visibility (`toplistd -live` publishes each day
+// as the engine emits it).
 func NewServerAt(g *Gatekeeper, opts ...Option) *Server {
 	s := &Server{
 		archive: g,

@@ -5,8 +5,9 @@
 // domains ranked by slowly-evolving backlink counts over 90 days).
 //
 // Sliding windows are modelled as exponential moving averages with
-// matching effective length (see DESIGN.md; BenchmarkAblationWindow
-// compares against an exact ring-buffer window).
+// matching effective length (TestEMAApproximatesWindow and the root
+// BenchmarkAblationWindow compare them against an exact ring-buffer
+// window).
 package providers
 
 import (

@@ -435,9 +435,10 @@ func TestSlidingWindowMatchesNaive(t *testing.T) {
 	}
 }
 
-// TestEMAApproximatesWindow is the DESIGN.md ablation: an EMA with
-// alpha=2/(N+1) tracks an exact N-day window sum (scaled by N) closely
-// for slowly varying signals.
+// TestEMAApproximatesWindow is the fidelity side of the window
+// ablation whose cost the root BenchmarkAblationWindow measures: an
+// EMA with alpha=2/(N+1) tracks an exact N-day window sum (scaled by
+// N) closely for slowly varying signals.
 func TestEMAApproximatesWindow(t *testing.T) {
 	const days = 200
 	const window = 30

@@ -30,8 +30,9 @@ func (w *dualEMA) Flip() { w.cur = 1 - w.cur }
 
 // SlidingWindow maintains exact N-day sliding sums per domain with a
 // ring buffer — the reference implementation the EMA approximation is
-// validated against (DESIGN.md ablation). Memory is O(domains × days),
-// which is why the production rankers use EMAs instead.
+// validated against (TestEMAApproximatesWindow; the root
+// BenchmarkAblationWindow). Memory is O(domains × days), which is why
+// the production rankers use EMAs instead.
 type SlidingWindow struct {
 	days  int
 	ring  [][]float64

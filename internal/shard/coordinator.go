@@ -237,8 +237,8 @@ func (c *Coordinator) stepShard(ctx context.Context, s *shardSession, day int) (
 			}
 		}
 		frame, err := c.stepOnce(ctx, s, day)
+		s.peer.Record(ctx, err)
 		if err == nil {
-			s.peer.MarkOK()
 			c.workerLag(s.peer.URL()).Set(int64(0))
 			return frame, nil
 		}
@@ -248,7 +248,6 @@ func (c *Coordinator) stepShard(ctx context.Context, s *shardSession, day int) (
 		lastErr = err
 		c.logger.Printf("shard %d day %d on %s: %v", s.index, day, s.peer.URL(), err)
 		c.workerFailures.Add(1)
-		s.peer.MarkFailed()
 		c.workerLag(s.peer.URL()).Set(int64(1))
 		// Drop the session: whatever state the worker holds is now
 		// unreachable or untrusted. Reassignment reseeds from the
@@ -292,9 +291,10 @@ func (c *Coordinator) assign(ctx context.Context, s *shardSession, day int) erro
 	}
 	if open.Lo != s.lo || open.Hi != s.hi {
 		// Worker computed different boundaries: its world differs.
-		peer.MarkFailed()
-		return fmt.Errorf("shard: worker %s computed shard %d as [%d, %d), coordinator has [%d, %d)",
+		err := fmt.Errorf("shard: worker %s computed shard %d as [%d, %d), coordinator has [%d, %d)",
 			peer.URL(), s.index, open.Lo, open.Hi, s.lo, s.hi)
+		peer.Record(ctx, err)
+		return err
 	}
 
 	seed := &Frame{Day: day - 1, Lo: s.lo, Hi: s.hi, Started: c.merged > 0}

@@ -2,11 +2,13 @@
 # check-docs.sh — docs-staleness guard, run in CI.
 #
 # The README's Layout section claims to describe the directory tree;
-# this script makes that claim checkable: it fails if any package
-# directory under internal/ or any command under cmd/ is absent from
-# the Layout section, so adding a package without documenting it (or
-# renaming one and leaving the stale row) breaks the build instead of
-# silently rotting the docs.
+# this script makes that claim checkable in both directions. It fails
+# if any package directory under internal/ or any command under cmd/
+# is absent from the Layout section, so adding a package without
+# documenting it breaks the build instead of silently rotting the
+# docs. It also fails if README.md or docs/ARCHITECTURE.md cites an
+# internal/, cmd/ or examples/ path that does not exist, so deleting
+# or renaming one and leaving the stale prose breaks the build too.
 #
 # Usage: scripts/check-docs.sh [repo-root]
 set -eu
@@ -28,6 +30,7 @@ if [ -z "$layout" ]; then
 fi
 
 status=0
+missing=0
 for dir in "$root"/internal/*/ "$root"/cmd/*/; do
     [ -d "$dir" ] || continue
     # Only directories that actually hold Go code are packages.
@@ -38,11 +41,23 @@ for dir in "$root"/internal/*/ "$root"/cmd/*/; do
     rel=${rel%/}
     if ! printf '%s\n' "$layout" | grep -qF "\`$rel\`"; then
         echo "check-docs: $rel is missing from README's Layout section" >&2
-        status=1
+        missing=1
     fi
 done
-
-if [ "$status" -ne 0 ]; then
+if [ "$missing" -ne 0 ]; then
     echo "check-docs: add the missing packages to the Layout table in README.md" >&2
+    status=1
 fi
+
+# A cited path is its directory and file segments; a Go identifier
+# after a package path (`internal/cache.LRU`) is not part of it.
+for doc in "$readme" "$root/docs/ARCHITECTURE.md"; do
+    [ -f "$doc" ] || continue
+    for ref in $(grep -oE '(internal|cmd|examples)/[A-Za-z0-9_/-]+(\.go)?' "$doc" | sort -u); do
+        if [ ! -e "$root/$ref" ]; then
+            echo "check-docs: ${doc#"$root"/} cites $ref, which does not exist" >&2
+            status=1
+        fi
+    done
+done
 exit "$status"

@@ -7,13 +7,15 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/serve"
 	"repro/internal/toplist"
 )
 
-// TestFacadeServingCore pins the serving-core facade: a SwappableSource
-// behind ArchiveHandler and the full middleware chain serves the
-// archive wire API, /metrics counts the traffic, and a Swap changes
-// what subsequent requests read without rebuilding the handler.
+// TestFacadeServingCore pins the facade's ArchiveHandler inside the
+// serving core: a serve.SwappableSource behind ArchiveHandler and the
+// full middleware chain serves the archive wire API, /metrics counts
+// the traffic, and a Swap changes what subsequent requests read
+// without rebuilding the handler.
 func TestFacadeServingCore(t *testing.T) {
 	build := func(name string) Source {
 		arch := toplist.NewArchive(0, 0)
@@ -23,16 +25,16 @@ func TestFacadeServingCore(t *testing.T) {
 		return arch
 	}
 
-	swap := NewSwappableSource(build("first.com"))
-	m := NewMetrics()
+	swap := serve.NewSwappableSource(build("first.com"))
+	m := serve.NewMetrics()
 	mux := http.NewServeMux()
 	mux.Handle("GET /metrics", m.Handler())
 	mux.Handle("/", ArchiveHandler(swap))
-	handler := ChainMiddleware(mux,
-		m.Instrument(RouteLabel),
-		AccessLog(nil),
-		LimitRequests(16, m),
-		RecoverPanics(nil, m),
+	handler := serve.Chain(mux,
+		m.Instrument(serve.RouteLabel),
+		serve.AccessLog(nil),
+		serve.Limit(16, m),
+		serve.Recover(nil, m),
 	)
 	ts := httptest.NewServer(handler)
 	defer ts.Close()

@@ -8,8 +8,6 @@
 // Atlas-style probe fleet — and regenerates every table and figure of
 // the paper's evaluation from it.
 //
-// # API v2
-//
 // The entry points are context-aware and option-driven, and every
 // consumer reads snapshots through the Source interface rather than a
 // concrete in-memory store, so a study can serve from a live
@@ -41,40 +39,19 @@
 //	// (`toplistd -serve-archive` or ArchiveHandler) — same Source,
 //	// byte-identical results.
 //	rsrc, err := toplists.OpenRemote(ctx, "http://archive-host:8080")
-//
-// Migration from v1:
-//
-//	v1                          v2
-//	--------------------------  --------------------------------------------
-//	Simulate(scale)             Simulate(ctx, WithScale(scale))
-//	Stream(scale, sink)         Stream(ctx, sink, WithScale(scale))
-//	NewLab(scale)               NewLab(WithScale(scale))
-//	lab.Run(id)                 lab.Run(ctx, id)
-//	lab.RunAll()                lab.RunAll(ctx)
-//	scale.Workers = n           WithWorkers(n) (or still via the Scale)
-//	(no equivalent)             WithArchiveDir(dir) — persist while simulating
-//	(no equivalent)             WithSource(src) — serve from a loaded archive
-//
-// The v1 entry points survive as deprecated shims (SimulateScale,
-// StreamScale, NewLabScale) for external callers migrating gradually;
-// nothing inside this repository uses them (CI enforces that).
 package toplists
 
 import (
 	"context"
 	"fmt"
-	"log"
 	"net/http"
-	"time"
 
 	"repro/internal/archived"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/experiments"
-	"repro/internal/fleet"
 	"repro/internal/pack"
 	"repro/internal/providers"
-	"repro/internal/serve"
 	"repro/internal/toplist"
 )
 
@@ -172,138 +149,6 @@ func ArchiveHandler(src Source) http.Handler {
 	return archived.NewServer(src)
 }
 
-// SwappableSource is a Source holder whose backing Source can be
-// replaced atomically while servers keep reading — the hot-reload
-// primitive behind `toplistd`'s SIGHUP/-reload-poll handling. It
-// implements Source (and passes through the raw fast-path contract
-// when the current Source supports it), so it drops in anywhere a
-// Source is accepted; handlers that resolve it through
-// serve.Snapshot pin one generation per request.
-type SwappableSource = serve.SwappableSource
-
-// NewSwappableSource wraps src in an atomically swappable holder.
-// Swap in a freshly opened archive after external repair or growth:
-//
-//	swap := toplists.NewSwappableSource(src)
-//	handler := toplists.ArchiveHandler(swap)
-//	...
-//	next, err := toplists.OpenArchive(dir) // reopened, repaired, grown
-//	if err != nil { ... }
-//	swap.Swap(next)                        // in-flight requests unaffected
-func NewSwappableSource(src Source) *SwappableSource {
-	return serve.NewSwappableSource(src)
-}
-
-// Metrics is the serving core's metrics registry: per-route request
-// counters, latency histograms, and operational gauges rendered in
-// Prometheus text exposition format by its Handler. `toplistd` and
-// `collectd -metrics-addr` expose one at /metrics.
-type Metrics = serve.Metrics
-
-// NewMetrics returns an empty metrics registry. Mount its Handler and
-// wrap application handlers with its Instrument middleware:
-//
-//	m := toplists.NewMetrics()
-//	mux.Handle("GET /metrics", m.Handler())
-//	handler := toplists.ChainMiddleware(mux, m.Instrument(toplists.RouteLabel))
-func NewMetrics() *Metrics { return serve.NewMetrics() }
-
-// Middleware is a composable http.Handler wrapper; see
-// ChainMiddleware.
-type Middleware = serve.Middleware
-
-// ChainMiddleware wraps h in mw, first middleware outermost — the
-// composition `toplistd` runs in production (instrumentation, access
-// log, load shedding, panic recovery, from Metrics.Instrument,
-// AccessLog, LimitRequests, and RecoverPanics).
-func ChainMiddleware(h http.Handler, mw ...Middleware) http.Handler {
-	return serve.Chain(h, mw...)
-}
-
-// RouteLabel maps a request to a low-cardinality route label for
-// Metrics.Instrument: list-serving and archive-API paths collapse to
-// one label per route shape, everything else to "other".
-func RouteLabel(r *http.Request) string { return serve.RouteLabel(r) }
-
-// AccessLog logs one line per request (method, path, status, bytes,
-// duration) to logger; a nil logger disables it at zero cost.
-func AccessLog(logger *log.Logger) Middleware { return serve.AccessLog(logger) }
-
-// LimitRequests caps concurrent in-flight requests at n; excess
-// requests are shed immediately with 503 + Retry-After instead of
-// queueing. n <= 0 disables the limiter. A non-nil m counts sheds.
-func LimitRequests(n int, m *Metrics) Middleware { return serve.Limit(n, m) }
-
-// RecoverPanics converts handler panics into 500s (except
-// http.ErrAbortHandler, which propagates), logging the stack to
-// logger and counting recoveries in m; both may be nil.
-func RecoverPanics(logger *log.Logger, m *Metrics) Middleware {
-	return serve.Recover(logger, m)
-}
-
-// Peer is one archive server in a replication fleet, with its health
-// state: consecutive failures and the jittered-backoff deadline before
-// it is tried again.
-type Peer = fleet.Peer
-
-// PeerSet is a fixed set of archive-server peers with per-peer health
-// tracking, healthiest-first failover ordering, and hash-aware
-// snapshot fetching — the multi-peer machinery behind cmd/mirrord and
-// cmd/collectd's repeatable -peer flag.
-type PeerSet = fleet.PeerSet
-
-// PeerOption configures NewPeerSet (backoff window, wire-client
-// options).
-type PeerOption = fleet.PeerOption
-
-// NewPeerSet builds a peer set over the given archive-server base URLs
-// (duplicates dropped; at least one required).
-func NewPeerSet(urls []string, opts ...PeerOption) (*PeerSet, error) {
-	return fleet.NewPeerSet(urls, opts...)
-}
-
-// WithPeerBackoff sets the failing-peer backoff window: ~base after
-// the first failure, doubling per consecutive failure up to max.
-func WithPeerBackoff(base, max time.Duration) PeerOption {
-	return fleet.WithPeerBackoff(base, max)
-}
-
-// WithPeerRemoteOptions passes opts to every wire client the peer set
-// opens.
-func WithPeerRemoteOptions(opts ...RemoteOption) PeerOption {
-	return fleet.WithPeerRemoteOptions(opts...)
-}
-
-// Mirror continuously replicates a local archive from a PeerSet over
-// the wire API: conditional manifest revalidation (304s in steady
-// state), raw byte copies for missing slots, and healing of locally
-// corrupt slots from the healthiest peer holding a hash-matching copy.
-// cmd/mirrord wraps one in a daemon; embedders drive SyncOnce /
-// VerifySweep / Loops directly.
-type Mirror = fleet.Mirror
-
-// MirrorOption configures NewMirror (logger, metrics registry).
-type MirrorOption = fleet.MirrorOption
-
-// NewMirror builds a mirror replicating store from peers.
-func NewMirror(store *DiskStore, peers *PeerSet, opts ...MirrorOption) *Mirror {
-	return fleet.NewMirror(store, peers, opts...)
-}
-
-// WithMirrorLogger sets the mirror's logger (default: silent).
-func WithMirrorLogger(l *log.Logger) MirrorOption { return fleet.WithMirrorLogger(l) }
-
-// WithMirrorMetrics registers the mirror's counters and per-peer lag
-// gauges on reg (a shared /metrics registry) instead of a private one.
-func WithMirrorMetrics(reg *Metrics) MirrorOption { return fleet.WithMirrorMetrics(reg) }
-
-// BootstrapArchive opens the archive at dir, creating it from the
-// first reachable peer's manifest (range, scale, expected providers)
-// when none exists yet — how a brand-new mirror node joins a fleet.
-func BootstrapArchive(ctx context.Context, dir string, peers *PeerSet) (*DiskStore, error) {
-	return fleet.Bootstrap(ctx, dir, peers)
-}
-
 // Pack is a packed archive: every snapshot of a DiskStore-style
 // archive in one file, read lazily through any io.ReaderAt — a local
 // file (OpenPack) or a static file server via HTTP Range requests
@@ -336,35 +181,22 @@ func OpenPackURL(ctx context.Context, url string, opts ...PackOption) (*Pack, er
 	return pack.OpenURL(ctx, url, opts...)
 }
 
-// Option configures the v2 entry points (Simulate, Stream, NewLab).
+// Option configures Simulate, Stream and NewLab.
 type Option func(*config)
 
 type config struct {
 	scale         Scale
-	scaleSet      bool
-	workers       int
-	workersSet    bool
 	archiveDir    string
 	source        Source
 	remoteWorkers []string
 }
 
 // WithScale selects the simulation scale (DefaultScale when omitted).
-func WithScale(s Scale) Option {
-	return func(c *config) {
-		c.scale = s
-		c.scaleSet = true
-	}
-}
-
-// WithWorkers overrides the engine parallelism: 0 uses every core,
-// 1 forces the serial reference path. The archive is bitwise identical
+// Its Workers field sets the engine parallelism: 0 uses every core, 1
+// forces the serial reference path. The archive is bitwise identical
 // either way; the knob only trades wall-clock.
-func WithWorkers(n int) Option {
-	return func(c *config) {
-		c.workers = n
-		c.workersSet = true
-	}
+func WithScale(s Scale) Option {
+	return func(c *config) { c.scale = s }
 }
 
 // WithArchiveDir tees every generated snapshot into a durable
@@ -391,8 +223,9 @@ func WithSource(src Source) Option {
 // farms them out over the /shard/v1 wire API, and merges the partial
 // results — byte-identically to a local run, including across worker
 // failures (dead workers' shards are reseeded on survivors mid-day).
-// Composes with WithWorkers (which keeps tuning the local rank/emit
-// pipeline) and WithArchiveDir; mutually exclusive with WithSource.
+// Composes with the Scale's Workers (which keeps tuning the local
+// rank/emit pipeline) and WithArchiveDir; mutually exclusive with
+// WithSource.
 func WithRemoteWorkers(urls ...string) Option {
 	return func(c *config) { c.remoteWorkers = append(c.remoteWorkers, urls...) }
 }
@@ -401,9 +234,6 @@ func buildConfig(opts []Option) (config, error) {
 	c := config{scale: DefaultScale()}
 	for _, o := range opts {
 		o(&c)
-	}
-	if c.workersSet {
-		c.scale.Workers = c.workers
 	}
 	if c.source != nil && c.archiveDir != "" {
 		return c, fmt.Errorf("toplists: WithSource and WithArchiveDir are mutually exclusive (nothing is generated from a source)")
@@ -434,12 +264,12 @@ func newArchiveStore(c config) (*DiskStore, error) {
 }
 
 // Simulate builds the world and generates the daily snapshot archive.
-// Generation runs on the concurrent engine (WithWorkers(1) forces the
-// serial reference path; the output is identical); cancelling ctx
-// stops the run at the next day boundary. With WithArchiveDir the run
-// is additionally persisted to disk as it generates; with WithSource
-// nothing is simulated at all — the study is rebuilt around the given
-// archive and the engine is never invoked.
+// Generation runs on the concurrent engine (a Scale with Workers = 1
+// forces the serial reference path; the output is identical);
+// cancelling ctx stops the run at the next day boundary. With
+// WithArchiveDir the run is additionally persisted to disk as it
+// generates; with WithSource nothing is simulated at all — the study
+// is rebuilt around the given archive and the engine is never invoked.
 func Simulate(ctx context.Context, opts ...Option) (*Study, error) {
 	c, err := buildConfig(opts)
 	if err != nil {
@@ -563,53 +393,4 @@ func (l *Lab) Run(ctx context.Context, id string) (*Experiment, error) {
 // critical path start before the cheap table lookups.
 func (l *Lab) RunAll(ctx context.Context) ([]*Experiment, error) {
 	return experiments.RunAll(ctx, l.env)
-}
-
-// Deprecated v1 shims. These preserve the pre-v2 call shapes for
-// external callers; inside this repository everything uses the
-// context-aware option-driven API above (CI rejects in-repo shim use).
-
-// SimulateScale is the v1 Simulate.
-//
-// Deprecated: use Simulate(ctx, WithScale(s)).
-func SimulateScale(s Scale) (*Study, error) {
-	return Simulate(context.Background(), WithScale(s))
-}
-
-// StreamScale is the v1 Stream.
-//
-// Deprecated: use Stream(ctx, sink, WithScale(s)).
-func StreamScale(s Scale, sink SnapshotSink) error {
-	return Stream(context.Background(), sink, WithScale(s))
-}
-
-// LegacyLab wraps a Lab with the v1 context-free method set.
-//
-// Deprecated: use NewLab(WithScale(s)) and the context-aware methods.
-type LegacyLab struct{ lab *Lab }
-
-// NewLabScale is the v1 NewLab.
-//
-// Deprecated: use NewLab(WithScale(s)).
-func NewLabScale(s Scale) *LegacyLab {
-	return &LegacyLab{lab: NewLab(WithScale(s))}
-}
-
-// Study returns the lab's underlying study.
-//
-// Deprecated: part of the v1 shim surface.
-func (l *LegacyLab) Study() (*Study, error) { return l.lab.Study() }
-
-// Run regenerates one table or figure.
-//
-// Deprecated: use Lab.Run(ctx, id).
-func (l *LegacyLab) Run(id string) (*Experiment, error) {
-	return l.lab.Run(context.Background(), id)
-}
-
-// RunAll regenerates every table and figure in ID order.
-//
-// Deprecated: use Lab.RunAll(ctx).
-func (l *LegacyLab) RunAll() ([]*Experiment, error) {
-	return l.lab.RunAll(context.Background())
 }
