@@ -5,6 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync"
 	"testing"
 
 	"repro/internal/domainname"
@@ -548,13 +549,39 @@ func TestWorldDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := worldDigest(w); got != tc.want {
-			t.Errorf("seed %d: world digest %s, want %s", tc.seed, got, tc.want)
-		}
-		for i := range w.Domains {
-			if id, ok := w.IDByName(w.Domains[i].Name); !ok || id != uint32(i) {
-				t.Fatalf("seed %d: IDByName(%q) = %d, %v; want %d", tc.seed, w.Domains[i].Name, id, ok, i)
-			}
+		checkWorldDigest(t, fmt.Sprintf("TestConfig seed %d", tc.seed), w, tc.want)
+	}
+	if testing.Short() {
+		t.Skip("the DefaultConfig world takes seconds to build and digest")
+	}
+	// The DefaultConfig world is the one the experiments and the
+	// claims ledger use: 23 times TestConfig's records, with head
+	// quantiles TestConfig never reaches.
+	checkWorldDigest(t, "DefaultConfig seed 1", defaultWorld(t),
+		"09a63a1adb3095369bf9dca9fe3bca8d5b5de9662f7cc620f2e73af50a86c236")
+}
+
+func checkWorldDigest(t *testing.T, label string, w *World, want string) {
+	t.Helper()
+	if got := worldDigest(w); got != want {
+		t.Errorf("%s: world digest %s, want %s", label, got, want)
+	}
+	for i := range w.Domains {
+		if id, ok := w.IDByName(w.Domains[i].Name); !ok || id != uint32(i) {
+			t.Fatalf("%s: IDByName(%q) = %d, %v; want %d", label, w.Domains[i].Name, id, ok, i)
 		}
 	}
+}
+
+var defaultWorldOnce = sync.OnceValues(func() (*World, error) { return Build(DefaultConfig()) })
+
+// defaultWorld returns the DefaultConfig seed 1 world, built once per
+// test binary.
+func defaultWorld(t *testing.T) *World {
+	t.Helper()
+	w, err := defaultWorldOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return w
 }
