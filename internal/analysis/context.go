@@ -8,6 +8,7 @@ package analysis
 import (
 	"context"
 	"errors"
+	"strings"
 
 	"repro/internal/cache"
 	"repro/internal/domainname"
@@ -32,8 +33,9 @@ type Context struct {
 	W    *population.World
 	Arch toplist.Source
 
-	// Per world-record parse results. Names are parsed once, here, and
-	// their TLDs, base domains and SLD groups interned to dense keys.
+	// Per world-record parse results. Base records are parsed once,
+	// here, and their TLDs, base domains and SLD groups interned to
+	// dense keys; a subdomain takes its base record's keys.
 	info []nameInfo
 	tlds int // number of TLD keys
 	// groupOf maps a base key to its SLD group key (noGroup for none):
@@ -73,12 +75,17 @@ func NewContext(w *population.World, arch toplist.Source) *Context {
 		columns: cache.New[slot, []uint32](0),
 	}
 	tldKeys := make(map[string]uint32)
-	baseKeys := make(map[string]uint32)
-	groupKeys := make(map[string]uint32)
+	baseKeys := make(map[string]uint32, w.BaseCount())
+	groupKeys := make(map[string]uint32, w.BaseCount())
 	for i := range w.Domains {
+		d := &w.Domains[i]
+		if b := d.BaseID; b < uint32(i) && underBase(d, &w.Domains[b]) {
+			c.info[i] = nameInfo{c.info[b].baseKey, c.info[b].tldKey, d.Depth, d.ValidTLD}
+			continue
+		}
 		// population.Build rejects unparseable names; one would key as
 		// the empty name.
-		n, _ := domainname.Parse(w.Domains[i].Name)
+		n, _ := domainname.Parse(d.Name)
 		base := n.Base
 		if base == "" {
 			base = n.FQDN
@@ -87,7 +94,11 @@ func NewContext(w *population.World, arch toplist.Source) *Context {
 		if isNew {
 			g := noGroup
 			if name := n.Group(); name != "" {
-				g, _ = intern(groupKeys, name)
+				k, newGroup := intern(groupKeys, name)
+				if newGroup {
+					c.groups = append(c.groups, name)
+				}
+				g = k
 			}
 			c.groupOf = append(c.groupOf, g)
 		}
@@ -100,11 +111,16 @@ func NewContext(w *population.World, arch toplist.Source) *Context {
 		}
 	}
 	c.tlds = len(tldKeys)
-	c.groups = make([]string, len(groupKeys))
-	for name, k := range groupKeys {
-		c.groups[k] = name
-	}
 	return c
+}
+
+// underBase reports whether subdomain record d parses to the base
+// domain of its base record b, so that it shares b's keys. The world
+// names d below b, and d's depth, which Build takes from the parse,
+// counts its labels above that base unless a PSL rule below the base
+// moved it; such a record is parsed like a base record.
+func underBase(d, b *population.Domain) bool {
+	return strings.Count(d.Name, ".")-int(d.Depth) == strings.Count(b.Base, ".")
 }
 
 // intern returns the dense key of s in keys, adding s if it is new.

@@ -105,3 +105,18 @@ func TestRunFromRejectsShiftedArchive(t *testing.T) {
 		t.Fatalf("RunFrom refused the day-0 archive: %v", err)
 	}
 }
+
+// BenchmarkRunFrom measures the study rebuild every reopened archive
+// pays: the world, the traffic model, the analysis context and the
+// campaign. RunFrom reads no slot, so an empty archive over the
+// scale's days is enough.
+func BenchmarkRunFrom(b *testing.B) {
+	s := TestScale()
+	src := toplist.NewArchive(0, toplist.Day(s.Population.Days-1))
+	b.ReportAllocs()
+	for b.Loop() {
+		if _, err := RunFrom(s, src); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

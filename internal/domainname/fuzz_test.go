@@ -111,10 +111,13 @@ func joinSuffixLabels(labels []string) int {
 }
 
 // FuzzParse checks every accepted name against the join-based suffix
-// walk: PublicSuffix, Base, SLD, Depth and Group must all match.
+// walk: PublicSuffix, Base, SLD, Depth and Group must all match. Every
+// parent the name inherits its suffix from (InheritsSuffix) must parse
+// to the same public suffix.
 func FuzzParse(f *testing.F) {
 	for _, s := range []string{
 		"www.ck", "x.y.ck", "a.blogspot.co.uk", "blogspot.com",
+		"a.b.s3.amazonaws.com", "x.foo.www.ck",
 		"A.Example.COM.",
 		strings.Repeat("a", 63) + "." + strings.Repeat("b", 63) + "." +
 			strings.Repeat("c", 63) + "." + strings.Repeat("d", 57) + ".com",
@@ -146,6 +149,15 @@ func FuzzParse(f *testing.F) {
 			n.Depth != depth || n.Group() != group {
 			t.Fatalf("Parse(%q) = suffix %q base %q sld %q depth %d group %q; want %q %q %q %d %q",
 				s, n.PublicSuffix, n.Base, n.SLD, n.Depth, n.Group(), suffix, base, sld, depth, group)
+		}
+		for i := 1; i < len(labels); i++ {
+			parent := strings.Join(labels[i:], ".")
+			if !InheritsSuffix(n.FQDN, parent) {
+				continue
+			}
+			if p := MustParse(parent); p.PublicSuffix != n.PublicSuffix {
+				t.Fatalf("%q inherits its suffix from %q, but Parse gives %q and %q", n.FQDN, parent, n.PublicSuffix, p.PublicSuffix)
+			}
 		}
 	})
 }

@@ -234,3 +234,43 @@ func TestParseAllocatesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestInheritsSuffix pins where a name takes its public suffix from
+// its parent without a walk, and every case where the PSL could put it
+// elsewhere: a rule for the name or a name between, a wildcard over
+// the parent's children, and a name that is not below the parent.
+func TestInheritsSuffix(t *testing.T) {
+	for _, tc := range []struct {
+		name, parent string
+		want         bool
+	}{
+		{"brand.com", "com", true},
+		{"brand.co.uk", "co.uk", true},
+		{"www.brand.com", "brand.com", true},
+		{"a.b.c.brand.de", "brand.de", true},
+		{"x.cooking.blogspot.com", "cooking.blogspot.com", true},
+		{"www.team-a.sharepoint.com", "team-a.sharepoint.com", true},
+		{"printer-0001.localdomain", "localdomain", true},
+		{"a.foo.www.ck", "foo.www.ck", true},
+		{"blogspot.com", "com", false},   // an exact rule for the name
+		{"a.blogspot.com", "com", false}, // an exact rule between
+		{"s3.amazonaws.com", "amazonaws.com", false},
+		{"foo.ck", "ck", false}, // a wildcard over the parent's children
+		{"www.ck", "ck", false}, // an exception rule for the name
+		{"a.b.brand.com", "b.brand.com", true},
+		{"brand.com", "brand.com", false},  // not below
+		{"xbrand.com", "brand.com", false}, // not at a label boundary
+		{"brand.com", "de", false},
+		{".com", "com", false},
+	} {
+		if got := InheritsSuffix(tc.name, tc.parent); got != tc.want {
+			t.Errorf("InheritsSuffix(%q, %q) = %v, want %v", tc.name, tc.parent, got, tc.want)
+		}
+		if !tc.want {
+			continue
+		}
+		if n, p := MustParse(tc.name), MustParse(tc.parent); n.PublicSuffix != p.PublicSuffix {
+			t.Errorf("%q inherits from %q, but their public suffixes are %q and %q", tc.name, tc.parent, n.PublicSuffix, p.PublicSuffix)
+		}
+	}
+}

@@ -103,6 +103,27 @@ func publicSuffixLabels(name string, labels []string) int {
 	return best
 }
 
+// InheritsSuffix reports whether name, a normalised name below parent,
+// has parent's public suffix without a walk: no PSL rule is for a
+// suffix of name longer than parent, and no wildcard rule makes
+// parent's children public suffixes. Where it holds, a parse of parent
+// gives name's public suffix, and so its base and depth. Where it does
+// not, the PSL could put name's suffix elsewhere; ask Parse. It is
+// false when name is not below parent.
+func InheritsSuffix(name, parent string) bool {
+	stop := len(name) - len(parent) // where parent starts in name
+	if stop < 2 || name[stop-1] != '.' || name[stop:] != parent || psl[parent]&ruleWildcard != 0 {
+		return false
+	}
+	for off := 0; off < stop; {
+		if psl[name[off:]] != 0 {
+			return false
+		}
+		off += strings.IndexByte(name[off:], '.') + 1
+	}
+	return true
+}
+
 // IsPublicSuffix reports whether the whole of s is a public suffix.
 func IsPublicSuffix(s string) bool {
 	n, err := Parse(s)

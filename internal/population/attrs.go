@@ -9,26 +9,38 @@ type anchor struct{ q, p float64 }
 
 // curve interpolates adoption probability piecewise-linearly in
 // log10(q) between anchors. Anchors must be ordered by ascending q.
-type curve []anchor
+type curve struct {
+	anchors []anchor
+	lq      []float64 // log10 of each anchor's q, taken once
+}
+
+func newCurve(anchors []anchor) curve {
+	c := curve{anchors: anchors, lq: make([]float64, len(anchors))}
+	for i, a := range anchors {
+		c.lq[i] = math.Log10(a.q)
+	}
+	return c
+}
 
 // eval returns the adoption probability at quantile q (clamped to the
-// anchor range).
-func (c curve) eval(q float64) float64 {
-	if len(c) == 0 {
+// anchor range); lq is log10(q), which the caller takes once for all
+// curves.
+func (c curve) eval(q, lq float64) float64 {
+	a := c.anchors
+	if len(a) == 0 {
 		return 0
 	}
-	if q <= c[0].q {
-		return c[0].p
+	if q <= a[0].q {
+		return a[0].p
 	}
-	last := c[len(c)-1]
+	last := a[len(a)-1]
 	if q >= last.q {
 		return last.p
 	}
-	lq := math.Log10(q)
-	for i := 1; i < len(c); i++ {
-		if q <= c[i].q {
-			lo, hi := c[i-1], c[i]
-			t := (lq - math.Log10(lo.q)) / (math.Log10(hi.q) - math.Log10(lo.q))
+	for i := 1; i < len(a); i++ {
+		if q <= a[i].q {
+			lo, hi := a[i-1], a[i]
+			t := (lq - c.lq[i-1]) / (c.lq[i] - c.lq[i-1])
 			return lo.p + t*(hi.p-lo.p)
 		}
 	}
@@ -40,12 +52,12 @@ func (c curve) eval(q float64) float64 {
 // measured per-list shares then emerge from which domains each list
 // samples.
 var (
-	curveIPv6 = curve{{1e-5, 0.25}, {1e-4, 0.21}, {1e-3, 0.17}, {1e-2, 0.12}, {1e-1, 0.07}, {1, 0.035}}
-	curveCAA  = curve{{1e-5, 0.30}, {1e-4, 0.17}, {1e-3, 0.06}, {1e-2, 0.015}, {1e-1, 0.003}, {1, 0.0008}}
-	curveTLS  = curve{{1e-5, 0.93}, {1e-4, 0.89}, {1e-3, 0.85}, {1e-2, 0.76}, {1e-1, 0.56}, {1, 0.33}}
-	curveHSTS = curve{{1e-5, 0.28}, {1e-3, 0.18}, {1e-2, 0.13}, {1e-1, 0.09}, {1, 0.07}}
-	curveH2   = curve{{1e-5, 0.52}, {1e-4, 0.44}, {1e-3, 0.34}, {1e-2, 0.25}, {1e-1, 0.14}, {1, 0.06}}
-	curveCDN  = curve{{1e-5, 0.38}, {1e-4, 0.30}, {1e-3, 0.16}, {1e-2, 0.06}, {1e-1, 0.025}, {1, 0.011}}
+	curveIPv6 = newCurve([]anchor{{1e-5, 0.25}, {1e-4, 0.21}, {1e-3, 0.17}, {1e-2, 0.12}, {1e-1, 0.07}, {1, 0.035}})
+	curveCAA  = newCurve([]anchor{{1e-5, 0.30}, {1e-4, 0.17}, {1e-3, 0.06}, {1e-2, 0.015}, {1e-1, 0.003}, {1, 0.0008}})
+	curveTLS  = newCurve([]anchor{{1e-5, 0.93}, {1e-4, 0.89}, {1e-3, 0.85}, {1e-2, 0.76}, {1e-1, 0.56}, {1, 0.33}})
+	curveHSTS = newCurve([]anchor{{1e-5, 0.28}, {1e-3, 0.18}, {1e-2, 0.13}, {1e-1, 0.09}, {1, 0.07}})
+	curveH2   = newCurve([]anchor{{1e-5, 0.52}, {1e-4, 0.44}, {1e-3, 0.34}, {1e-2, 0.25}, {1e-1, 0.14}, {1, 0.06}})
+	curveCDN  = newCurve([]anchor{{1e-5, 0.38}, {1e-4, 0.30}, {1e-3, 0.16}, {1e-2, 0.06}, {1e-1, 0.025}, {1, 0.011}})
 )
 
 // attrScale multiplies the curve probability per category (capped at
@@ -82,21 +94,20 @@ func scaled(p, factor float64) float64 {
 // WordPress, the head by classic commercial CDNs (Fig. 7b). Indexed by
 // CDN ID 1..12; index 0 unused.
 var (
-	cdnHeadWeights = []float64{0, 30, 13, 11, 7, 10, 3, 5, 3, 2, 3, 4, 9}
-	cdnTailWeights = []float64{0, 3, 66, 2, 1, 5, 16, 1, 0.5, 0.5, 1, 1, 3}
+	cdnHeadWeights = [...]float64{0, 30, 13, 11, 7, 10, 3, 5, 3, 2, 3, 4, 9}
+	cdnTailWeights = [...]float64{0, 3, 66, 2, 1, 5, 16, 1, 0.5, 0.5, 1, 1, 3}
 )
 
-// cdnChoiceWeights interpolates the market share vector at quantile q.
-func cdnChoiceWeights(q float64) []float64 {
-	// Blend in log space between head (q=1e-5) and tail (q=1).
-	t := (math.Log10(clampQ(q)) + 5) / 5 // 0 at head, 1 at tail
+// cdnChoiceWeights interpolates the market share vector at log
+// quantile t.
+func cdnChoiceWeights(t float64) (out [len(cdnHeadWeights)]float64) {
+	// Blend in log space between head and tail.
 	if t < 0 {
 		t = 0
 	}
 	if t > 1 {
 		t = 1
 	}
-	out := make([]float64, len(cdnHeadWeights))
 	for i := range out {
 		out[i] = (1-t)*cdnHeadWeights[i] + t*cdnTailWeights[i]
 	}
@@ -113,11 +124,10 @@ func clampQ(q float64) float64 {
 	return q
 }
 
-// Hosting-AS role shares by quantile: the tail lives on mass hosting
-// (GoDaddy-like, the paper's 26 % population share), the head on cloud
-// and diverse small ASes (Fig. 7d).
-func hostingRoleWeights(q float64) (mass, cloud, small float64) {
-	t := (math.Log10(clampQ(q)) + 5) / 5
+// Hosting-AS role shares by log quantile t: the tail lives on mass
+// hosting (GoDaddy-like, the paper's 26 % population share), the head
+// on cloud and diverse small ASes (Fig. 7d).
+func hostingRoleWeights(t float64) (mass, cloud, small float64) {
 	if t < 0 {
 		t = 0
 	}
@@ -130,17 +140,17 @@ func hostingRoleWeights(q float64) (mass, cloud, small float64) {
 	return
 }
 
-// TTL buckets by quantile: popular (often CDN-fronted) domains use
-// short TTLs; the tail uses long registrar defaults.
-var ttlBuckets = []uint32{30, 60, 300, 900, 3600, 86400}
+// TTL buckets by log quantile t: popular (often CDN-fronted) domains
+// use short TTLs; the tail uses long registrar defaults.
+var (
+	ttlBuckets = [...]uint32{30, 60, 300, 900, 3600, 86400}
+	ttlHead    = [len(ttlBuckets)]float64{25, 25, 30, 12, 6, 2}
+	ttlTail    = [len(ttlBuckets)]float64{1, 2, 10, 15, 40, 32}
+)
 
-func ttlWeights(q float64) []float64 {
-	t := (math.Log10(clampQ(q)) + 5) / 5
-	head := []float64{25, 25, 30, 12, 6, 2}
-	tail := []float64{1, 2, 10, 15, 40, 32}
-	out := make([]float64, len(head))
+func ttlWeights(t float64) (out [len(ttlBuckets)]float64) {
 	for i := range out {
-		out[i] = (1-t)*head[i] + t*tail[i]
+		out[i] = (1-t)*ttlHead[i] + t*ttlTail[i]
 	}
 	return out
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"strings"
 
-	"repro/internal/domainname"
 	"repro/internal/rng"
 	"repro/internal/simnet"
 )
@@ -87,6 +86,8 @@ type World struct {
 	CDNs    *simnet.CDNRegistry
 	Routes  *simnet.RouteTable
 
+	// byName is the one name index: every record's name to its ID,
+	// marked unclaimed for www. names the generator never handed out.
 	byName map[string]uint32
 	// baseIDs indexes the base-domain records.
 	baseIDs []uint32
@@ -128,7 +129,7 @@ func Build(cfg Config) (*World, error) {
 	}
 	w.Routes = simnet.NewRouteTableFromRegistry(w.ASes)
 
-	gen := newNameGen(root.Derive("names"), records)
+	gen := newNameGen(root.Derive("names"), w.byName)
 	catAlias := rng.NewAlias(root.Derive("cats"), cfg.CategoryMix[:])
 
 	// --- Base domains -------------------------------------------------
@@ -138,9 +139,9 @@ func Build(cfg Config) (*World, error) {
 		name  string
 		cat   Category
 		birth int32
-		// parsed is the generator's parse of a brand domain; platform
+		// parse is the generator's parse of a brand domain; platform
 		// and junk names are parsed below.
-		parsed domainname.Name
+		parse nameParse
 	}
 	specs := make([]baseSpec, 0, nBase)
 	// Platform user sites replace part of the day-0 site budget.
@@ -157,8 +158,8 @@ func Build(cfg Config) (*World, error) {
 		if cat == CatJunk {
 			return baseSpec{name: gen.junkName(), cat: cat, birth: birth}
 		}
-		pn := gen.baseDomain()
-		return baseSpec{name: pn.FQDN, cat: cat, birth: birth, parsed: pn}
+		name, p := gen.baseDomain()
+		return baseSpec{name: name, cat: cat, birth: birth, parse: p}
 	}
 	for i := platformUsers; i < cfg.Sites; i++ {
 		specs = append(specs, site(Category(catAlias.Next()), 0))
@@ -178,6 +179,9 @@ func Build(cfg Config) (*World, error) {
 	trendR := root.Derive("trend")
 
 	w.Domains = make([]Domain, 0, records)
+	// suffix[id] reports a base record whose name is itself a public
+	// suffix: names below it are parsed, not derived from it.
+	suffix := make([]bool, 0, nBase)
 	for i, sp := range specs {
 		g := rng.ZipfWeight(perm[i]+1, cfg.ZipfExponent)
 		ax := categoryAxis[sp.cat]
@@ -194,19 +198,15 @@ func Build(cfg Config) (*World, error) {
 			VolMul:        popR.Range(0.6, 1.4),
 			Seed:          popR.Uint64(),
 		}
-		pn := sp.parsed
-		if pn.FQDN == "" {
+		p := sp.parse
+		if p.base == "" {
 			var err error
-			if pn, err = domainname.Parse(sp.name); err != nil {
+			if p, err = parseName(sp.name); err != nil {
 				return nil, fmt.Errorf("population: generated bad name %q: %v", sp.name, err)
 			}
 		}
-		d.Base = pn.FQDN
-		if pn.Base != "" {
-			d.Base = pn.Base
-		}
-		d.Depth = uint8(pn.Depth)
-		d.ValidTLD = pn.ValidTLD
+		d.Base, d.Depth, d.ValidTLD = p.base, p.depth, p.validTLD
+		suffix = append(suffix, p.suffix)
 		// Death process for day-0 real sites.
 		if sp.birth == 0 && !sp.cat.NeverResolves() && lifeR.Bool(cfg.DeathFraction) {
 			d.DeathDay = int32(1 + lifeR.Intn(cfg.Days-1))
@@ -225,7 +225,6 @@ func Build(cfg Config) (*World, error) {
 		d.BaseID = id
 		w.Domains = append(w.Domains, d)
 		w.baseIDs = append(w.baseIDs, id)
-		w.byName[d.Name] = id
 	}
 
 	// Popularity quantiles (by the shared latent; WebPop correlates) —
@@ -233,7 +232,7 @@ func Build(cfg Config) (*World, error) {
 	w.assignInfrastructure(root.Derive("infra"))
 
 	// --- Subdomains ----------------------------------------------------
-	w.generateSubdomains(gen, root.Derive("subs"))
+	w.generateSubdomains(gen, root.Derive("subs"), suffix)
 
 	return w, nil
 }
@@ -279,19 +278,22 @@ func (w *World) assignInfrastructure(r *rng.Rand) {
 		}
 		d.WeekendFactor = 1 + (d.WeekendFactor-1)*atten
 		at := categoryAttr[d.Category]
+		// lq feeds the curves; t places q on a log scale from the head
+		// (q=1e-5, 0) to the tail (q=1, 1), below 0 past the head.
+		lq, t := math.Log10(q), (math.Log10(clampQ(q))+5)/5
 		var fl Flags
-		if r.Bool(scaled(curveIPv6.eval(q), at.ipv6)) {
+		if r.Bool(scaled(curveIPv6.eval(q, lq), at.ipv6)) {
 			fl |= FlagIPv6
 		}
-		if r.Bool(scaled(curveCAA.eval(q), at.caa)) {
+		if r.Bool(scaled(curveCAA.eval(q, lq), at.caa)) {
 			fl |= FlagCAA
 		}
-		if r.Bool(scaled(curveTLS.eval(q), at.tls)) {
+		if tls := curveTLS.eval(q, lq); r.Bool(scaled(tls, at.tls)) {
 			fl |= FlagTLS
-			if r.Bool(scaled(curveHSTS.eval(q), at.hsts)) {
+			if r.Bool(scaled(curveHSTS.eval(q, lq), at.hsts)) {
 				fl |= FlagHSTS
 			}
-			if r.Bool(scaled(curveH2.eval(q)/math.Max(curveTLS.eval(q), 1e-9), at.h2)) {
+			if r.Bool(scaled(curveH2.eval(q, lq)/math.Max(tls, 1e-9), at.h2)) {
 				fl |= FlagHTTP2
 			}
 		}
@@ -299,9 +301,9 @@ func (w *World) assignInfrastructure(r *rng.Rand) {
 			fl = 0
 		}
 		// CDN.
-		if !d.Category.NeverResolves() && r.Bool(scaled(curveCDN.eval(q), at.cdn)) {
-			weights := cdnChoiceWeights(q)
-			d.CDN = uint8(r.WeightedChoice(weights))
+		if !d.Category.NeverResolves() && r.Bool(scaled(curveCDN.eval(q, lq), at.cdn)) {
+			weights := cdnChoiceWeights(t)
+			d.CDN = uint8(r.WeightedChoice(weights[:]))
 			if d.CDN != 0 {
 				fl |= FlagCNAME
 			}
@@ -317,7 +319,7 @@ func (w *World) assignInfrastructure(r *rng.Rand) {
 			as = w.ASes.ByNumber(cdn.ASN)
 		}
 		if as == nil {
-			mass, cloud, _ := hostingRoleWeights(q)
+			mass, cloud, _ := hostingRoleWeights(t)
 			u := r.Float64()
 			switch {
 			case u < mass:
@@ -333,7 +335,8 @@ func (w *World) assignInfrastructure(r *rng.Rand) {
 		hostBits := uint(32 - p.Bits)
 		d.IPv4 = p.Addr | (uint32(r.Uint64()) & ((1 << hostBits) - 1))
 		// TTL.
-		d.TTL = ttlBuckets[r.WeightedChoice(ttlWeights(q))]
+		weights := ttlWeights(t)
+		d.TTL = ttlBuckets[r.WeightedChoice(weights[:])]
 	}
 }
 
@@ -343,8 +346,9 @@ func pick(r *rng.Rand, ases []simnet.AS, weights []float64) *simnet.AS {
 
 // generateSubdomains attaches FQDN records to base domains. Only the
 // DNS axis sees most of them (Umbrella's depth skew, Table 2); web and
-// link popularity stay concentrated on the base.
-func (w *World) generateSubdomains(gen *nameGen, r *rng.Rand) {
+// link popularity stay concentrated on the base. suffix[i] reports
+// that base record i is a public suffix.
+func (w *World) generateSubdomains(gen *nameGen, r *rng.Rand, suffix []bool) {
 	baseCount := len(w.baseIDs)
 	// The extreme-depth OID chain (Umbrella's SDM 33) goes to the most
 	// DNS-popular tracker so it reliably ranks.
@@ -364,6 +368,7 @@ func (w *World) generateSubdomains(gen *nameGen, r *rng.Rand) {
 		if parent.Category == CatJunk {
 			continue
 		}
+		pp := nameParse{base: parent.Base, depth: parent.Depth, validTLD: parent.ValidTLD, suffix: suffix[bid]}
 		mean, www := w.Cfg.subdomainRate(parent.Category)
 		nSub := r.Poisson(mean)
 		if www && r.Bool(0.5) {
@@ -388,18 +393,24 @@ func (w *World) generateSubdomains(gen *nameGen, r *rng.Rand) {
 			if s == 0 && depth == 1 && r.Bool(0.6) {
 				name := "www." + parent.Name
 				if _, dup := w.byName[name]; !dup {
-					w.addSubdomainName(name, bid, &parent, r)
+					if p, err := pp.below(name, parent.Name, 1); err == nil {
+						w.byName[name] = uint32(len(w.Domains)) | unclaimed
+						w.addSubdomain(name, p, bid, &parent, r)
+					}
 					continue
 				}
 			}
-			w.addSubdomain(gen.subdomainOf(parent.Name, depth), bid, &parent, r)
+			// A held name is a www. record this base already has.
+			if name, p, held := gen.subdomainOf(&parent, pp, depth); !held {
+				w.addSubdomain(name, p, bid, &parent, r)
+			}
 		}
 	}
 	if bestPop > 0 {
 		parent := w.Domains[bestTracker]
 		name := gen.oidChain(parent.Name, 33)
 		w.addSubdomainName(name, bestTracker, &parent, r)
-		if id, ok := w.byName[name]; ok {
+		if id, ok := w.IDByName(name); ok {
 			// Give the chain a solid share of the tracker's resolution
 			// volume so it ranks the way the paper observed.
 			w.Domains[id].DNSPop = parent.DNSPop * 0.5
@@ -408,20 +419,22 @@ func (w *World) generateSubdomains(gen *nameGen, r *rng.Rand) {
 }
 
 // addSubdomainName is addSubdomain for a name the generator did not
-// parse; a name that does not parse is skipped.
+// check: it is parsed, and skipped if it does not parse or the world
+// already has it.
 func (w *World) addSubdomainName(name string, bid uint32, parent *Domain, r *rng.Rand) {
-	if pn, err := domainname.Parse(name); err == nil {
-		w.addSubdomain(pn, bid, parent, r)
-	}
-}
-
-// addSubdomain attaches the record pn under base bid, unless the world
-// already has the name.
-func (w *World) addSubdomain(pn domainname.Name, bid uint32, parent *Domain, r *rng.Rand) {
-	name := pn.FQDN
 	if _, dup := w.byName[name]; dup {
 		return
 	}
+	if p, err := parseName(name); err == nil {
+		w.byName[name] = uint32(len(w.Domains))
+		w.addSubdomain(name, p, bid, parent, r)
+	}
+}
+
+// addSubdomain appends the record of name, whose parse is p, under base
+// record bid. The name is already in the index under the new record's
+// ID.
+func (w *World) addSubdomain(name string, p nameParse, bid uint32, parent *Domain, r *rng.Rand) {
 	// Service subdomains (api., tracking beacons, mail hosts, …) often
 	// serve no web content at all: zgrab-style probes fail where the
 	// base domain would succeed. This is what pulls Umbrella's TLS and
@@ -429,7 +442,7 @@ func (w *World) addSubdomain(pn domainname.Name, bid uint32, parent *Domain, r *
 	flags := parent.Flags
 	if !strings.HasPrefix(name, "www.") {
 		keep := 0.55
-		if pn.Depth >= 2 {
+		if p.depth >= 2 {
 			keep = 0.30
 		}
 		if !r.Bool(keep) {
@@ -441,8 +454,8 @@ func (w *World) addSubdomain(pn domainname.Name, bid uint32, parent *Domain, r *
 		Base:          parent.Base,
 		BaseID:        bid,
 		Category:      parent.Category,
-		Depth:         uint8(pn.Depth),
-		ValidTLD:      pn.ValidTLD,
+		Depth:         p.depth,
+		ValidTLD:      p.validTLD,
 		WebPop:        parent.WebPop * r.Range(0.005, 0.06),
 		DNSPop:        parent.DNSPop * r.Range(0.05, 0.8),
 		LinkPop:       parent.LinkPop * r.Range(0.001, 0.04),
@@ -457,9 +470,7 @@ func (w *World) addSubdomain(pn domainname.Name, bid uint32, parent *Domain, r *
 		TTL:           parent.TTL,
 		Flags:         flags,
 	}
-	id := uint32(len(w.Domains))
 	w.Domains = append(w.Domains, d)
-	w.byName[name] = id
 }
 
 // Len reports the number of domain records (bases + subdomains).
@@ -475,7 +486,7 @@ func (w *World) BaseIDs() []uint32 { return w.baseIDs }
 // IDByName returns the record index for a name.
 func (w *World) IDByName(name string) (uint32, bool) {
 	id, ok := w.byName[name]
-	return id, ok
+	return id &^ unclaimed, ok
 }
 
 // ComNetOrg returns the "general population" sample: the registered

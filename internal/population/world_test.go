@@ -102,11 +102,39 @@ func TestWorldComposition(t *testing.T) {
 	}
 }
 
+// TestAllNamesParse: every record's name parses, and its stored Base,
+// Depth and ValidTLD are Parse's, though Build derives most of them
+// from the TLD mix or the parent record. It covers several TestConfig
+// worlds and (without -short) the DefaultConfig one.
 func TestAllNamesParse(t *testing.T) {
-	w := buildTest(t)
-	for i := range w.Domains {
-		if _, err := domainname.Parse(w.Domains[i].Name); err != nil {
-			t.Fatalf("unparseable generated name: %v", err)
+	var worlds []*World
+	for _, seed := range []uint64{1, 2, 3, 601} {
+		cfg := TestConfig()
+		cfg.Seed = seed
+		w, err := Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		worlds = append(worlds, w)
+	}
+	if !testing.Short() {
+		worlds = append(worlds, defaultWorld(t))
+	}
+	for _, w := range worlds {
+		for i := range w.Domains {
+			d := &w.Domains[i]
+			pn, err := domainname.Parse(d.Name)
+			if err != nil {
+				t.Fatalf("seed %d: unparseable generated name: %v", w.Cfg.Seed, err)
+			}
+			base := pn.Base
+			if base == "" {
+				base = pn.FQDN
+			}
+			if d.Base != base || int(d.Depth) != pn.Depth || d.ValidTLD != pn.ValidTLD {
+				t.Fatalf("%d sites, seed %d: record %d %q has base %q, depth %d, valid TLD %v; Parse gives %q, %d, %v",
+					w.Cfg.Sites, w.Cfg.Seed, i, d.Name, d.Base, d.Depth, d.ValidTLD, base, pn.Depth, pn.ValidTLD)
+			}
 		}
 	}
 }
@@ -472,18 +500,18 @@ func TestUmbrellaStyleDepthMix(t *testing.T) {
 }
 
 func TestCurveEval(t *testing.T) {
-	c := curve{{1e-4, 0.2}, {1e-2, 0.1}, {1, 0.01}}
-	if got := c.eval(1e-5); got != 0.2 {
+	c := newCurve([]anchor{{1e-4, 0.2}, {1e-2, 0.1}, {1, 0.01}})
+	if got := c.eval(1e-5, math.Log10(1e-5)); got != 0.2 {
 		t.Fatalf("clamp low %v", got)
 	}
-	if got := c.eval(2); got != 0.01 {
+	if got := c.eval(2, math.Log10(2)); got != 0.01 {
 		t.Fatalf("clamp high %v", got)
 	}
-	if got := c.eval(1e-3); math.Abs(got-0.15) > 1e-12 {
+	if got := c.eval(1e-3, math.Log10(1e-3)); math.Abs(got-0.15) > 1e-12 {
 		t.Fatalf("midpoint %v, want 0.15 (log-linear)", got)
 	}
 	var empty curve
-	if empty.eval(0.5) != 0 {
+	if empty.eval(0.5, math.Log10(0.5)) != 0 {
 		t.Fatal("empty curve")
 	}
 }
@@ -532,9 +560,12 @@ func worldDigest(w *World) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestWorldDigest pins the generated world bit for bit. The digests
-// were recorded before the generator stopped parsing names twice; any
-// change to Build that moves a record or a random draw changes them.
+// TestWorldDigest pins the generated world bit for bit: every field of
+// every record and the base-record index, at TestConfig seeds 1 and 2
+// and DefaultConfig seed 1. Each digest was recorded before a rewrite
+// of Build and held after it; any change that moves a record, a field
+// or a random draw changes them. It also checks that IDByName finds
+// every record under its own ID.
 func TestWorldDigest(t *testing.T) {
 	for _, tc := range []struct {
 		seed uint64

@@ -20,7 +20,7 @@ func (w *World) ZoneAt(day int) simnet.Zone { return dayZone{w: w, day: day} }
 // junk, and ghost names; otherwise the domain's records, with a CNAME
 // chain when the domain is CDN-fronted or alias-hosted.
 func (z dayZone) Lookup(name string) simnet.Response {
-	id, ok := z.w.byName[name]
+	id, ok := z.w.IDByName(name)
 	if !ok {
 		return simnet.Response{RCode: simnet.RCodeNXDomain}
 	}
@@ -64,7 +64,7 @@ func (w *World) ProberAt(day int) simnet.WebProber { return dayProber{w: w, day:
 
 // Probe implements simnet.WebProber from the domain's capability flags.
 func (p dayProber) Probe(name string) simnet.ProbeResult {
-	id, ok := p.w.byName[name]
+	id, ok := p.w.IDByName(name)
 	if !ok {
 		return simnet.ProbeResult{}
 	}
