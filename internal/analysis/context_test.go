@@ -9,10 +9,10 @@ import (
 	"repro/internal/population"
 )
 
-// newContextReference is NewContext's key tables as it built them
-// before subdomains took their base record's keys: every world record
-// parsed and interned, in record order. TestNewContextMatchesReference
-// checks NewContext against it.
+// newContextReference builds NewContext's key tables the direct way:
+// every world record parsed and interned, in record order, with no
+// record taking another's keys. TestNewContextMatchesReference checks
+// NewContext against it.
 func newContextReference(w *population.World) *Context {
 	c := &Context{W: w, info: make([]nameInfo, w.Len())}
 	tldKeys := make(map[string]uint32)

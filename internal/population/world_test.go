@@ -562,10 +562,10 @@ func worldDigest(w *World) string {
 
 // TestWorldDigest pins the generated world bit for bit: every field of
 // every record and the base-record index, at TestConfig seeds 1 and 2
-// and DefaultConfig seed 1. Each digest was recorded before a rewrite
-// of Build and held after it; any change that moves a record, a field
-// or a random draw changes them. It also checks that IDByName finds
-// every record under its own ID.
+// and DefaultConfig seed 1. A change to Build may make it cheaper but
+// must not move a record, a field or a random draw, which would change
+// a digest. It also checks that IDByName finds every record under its
+// own ID.
 func TestWorldDigest(t *testing.T) {
 	for _, tc := range []struct {
 		seed uint64
