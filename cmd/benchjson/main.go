@@ -42,9 +42,10 @@ import (
 	"strings"
 )
 
-// result is one parsed benchmark line.
+// result is one parsed benchmark line and the package it ran in.
 type result struct {
 	Name       string             `json:"name"`
+	Package    string             `json:"pkg,omitempty"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
@@ -55,7 +56,6 @@ type document struct {
 	GOOS    string   `json:"goos,omitempty"`
 	GOARCH  string   `json:"goarch,omitempty"`
 	CPU     string   `json:"cpu,omitempty"`
-	Package string   `json:"pkg,omitempty"`
 	Results []result `json:"results"`
 }
 
@@ -239,8 +239,12 @@ func diff(w io.Writer, old, cur *document, maxRegress float64, only string) int 
 	return regressions
 }
 
+// parse reads `go test -bench` output. A run over several packages
+// prints a pkg: line before each package's results; every result
+// records the latest one.
 func parse(sc *bufio.Scanner) (*document, error) {
 	doc := &document{}
+	pkg := ""
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		switch {
@@ -251,10 +255,11 @@ func parse(sc *bufio.Scanner) (*document, error) {
 		case strings.HasPrefix(line, "cpu:"):
 			doc.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "pkg:"):
-			doc.Package = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
+			pkg = strings.TrimSpace(strings.TrimPrefix(line, "pkg:"))
 		case strings.HasPrefix(line, "Benchmark"):
 			r, ok := parseResult(line)
 			if ok {
+				r.Package = pkg
 				doc.Results = append(doc.Results, r)
 			}
 		}

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -95,6 +96,52 @@ PASS
 	}
 	if doc.CPU == "" || doc.GOOS != "linux" {
 		t.Fatalf("header lost: %+v", doc)
+	}
+
+	// A run over two packages prints a pkg: line before each package's
+	// results; each result's artifact entry names its own.
+	text = `goos: linux
+goarch: amd64
+pkg: repro/internal/core
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkRunFrom-2   20   43423870 ns/op   12838680 B/op   56126 allocs/op
+PASS
+ok  	repro/internal/core	2.1s
+goos: linux
+goarch: amd64
+pkg: repro/internal/population
+cpu: Intel(R) Xeon(R) Processor
+BenchmarkBuildWorld-2   20   39014068 ns/op   9863092 B/op   41960 allocs/op
+PASS
+`
+	doc, err = parse(bufio.NewScanner(strings.NewReader(text)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, err := json.Marshal(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art struct {
+		Results []struct {
+			Name string `json:"name"`
+			Pkg  string `json:"pkg"`
+		} `json:"results"`
+	}
+	if err := json.Unmarshal(raw, &art); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{
+		"BenchmarkRunFrom-2":    "repro/internal/core",
+		"BenchmarkBuildWorld-2": "repro/internal/population",
+	}
+	if len(art.Results) != len(want) {
+		t.Fatalf("parsed %d results, want %d", len(art.Results), len(want))
+	}
+	for _, r := range art.Results {
+		if r.Pkg != want[r.Name] {
+			t.Errorf("%s: pkg %q, want %q", r.Name, r.Pkg, want[r.Name])
+		}
 	}
 }
 

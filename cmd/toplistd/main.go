@@ -440,10 +440,10 @@ func (z worldZones) ZoneDomains(tld string) []string { return z.w.ZoneDomains(0,
 // into the gatekeeper's archive under its lock, and each completed day
 // becomes visible to HTTP readers at most once per interval. It is the
 // engine.DaySink wired up by -live. It runs on the engine's emit
-// stage, so blocking here on the pacing ticker does not stall the
-// pipeline: the engine ranks the next day and steps the one after
-// while this sink waits, and publication latency per tick is just the
-// archive insert.
+// goroutine, one day behind the day loop, so blocking here on the
+// pacing ticker does not stall generation: the engine steps and ranks
+// the next day while this sink waits, and publication latency per tick
+// is just the archive insert.
 type liveSink struct {
 	ctx    context.Context
 	gk     *listserv.Gatekeeper

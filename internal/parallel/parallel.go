@@ -1,7 +1,7 @@
 // Package parallel provides the small deterministic fan-out primitives
 // the concurrent simulation engine is built from: contiguous range
 // sharding (For), independent task groups (Do), fail-fast stage
-// groups for pipelines (Group), and an indexed work queue (Each).
+// groups (Group), and an indexed work queue (Each).
 // Shard boundaries depend only on (workers, n), never on scheduling,
 // so callers that merge per-shard partial results in shard order get
 // run-to-run deterministic output.
@@ -87,52 +87,15 @@ func For(workers, n int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// Split sizes two concurrently running stages — a sharded "step" stage
-// and a bounded-parallelism "rank" stage — over a shared budget of
-// total workers, proportionally to their measured CPU costs. It is the
-// sizing function behind the engine's adaptive rank/step split: on
-// small core counts, giving both stages the full worker count
-// oversubscribes the machine (every fan-out barrier then waits on a
-// core the other stage holds), which is how a pipelined run ends up
-// slower than the serial one.
-//
-// stepCost and rankCost are recent per-day CPU costs (wall × workers,
-// any common unit); rankCap bounds the rank stage's useful parallelism
-// (one worker per provider). Unknown costs (either <= 0) fall back to a
-// rank-is-a-quarter-of-the-day prior. Both stages always get at least
-// one worker, and the two never exceed total combined, so the split is
-// work-conserving without oversubscription. Worker counts never affect
-// output — shard boundaries change, accumulation order does not — so
-// adapting the split day by day preserves bitwise determinism.
-func Split(total, rankCap int, stepCost, rankCost float64) (stepW, rankW int) {
-	if total <= 1 {
-		return 1, 1
-	}
-	if rankCap < 1 {
-		rankCap = 1
-	}
-	share := 0.25
-	if stepCost > 0 && rankCost > 0 {
-		share = rankCost / (stepCost + rankCost)
-	}
-	rankW = int(share*float64(total) + 0.5)
-	if hi := min(rankCap, total-1); rankW > hi {
-		rankW = hi
-	}
-	if rankW < 1 {
-		rankW = 1
-	}
-	return total - rankW, rankW
-}
-
 // Group runs a set of cooperating stage functions and collects the
-// first error — the pipeline primitive behind the engine's day
-// overlap. Unlike Do, the stages are long-lived, may fail, and a
-// failure must promptly unblock the others: the first non-nil error
-// (from a goroutine started with Go or an inline stage run with Do)
-// fires the group's cancel hook exactly once, so stages selecting on
-// the matching Done channel observe the failure at their next stage
-// boundary instead of running useless work to completion.
+// first error — the primitive behind the engine's emit overlap, where
+// the sink is written behind the day loop. Unlike Do, the stages are
+// long-lived, may fail, and a failure must promptly unblock the
+// others: the first non-nil error (from a goroutine started with Go or
+// an inline stage run with Do) fires the group's cancel hook exactly
+// once, so stages selecting on the matching Done channel observe the
+// failure at their next stage boundary instead of running useless work
+// to completion.
 type Group struct {
 	cancel func()
 	wg     sync.WaitGroup

@@ -135,43 +135,6 @@ func TestGroupCleanRun(t *testing.T) {
 	}
 }
 
-// TestSplit pins the adaptive rank/step sizing: proportional to cost,
-// both stages at least 1, rank capped by its useful parallelism, and
-// the pair never exceeding the budget.
-func TestSplit(t *testing.T) {
-	cases := []struct {
-		total, rankCap     int
-		stepCost, rankCost float64
-		wantStep, wantRank int
-	}{
-		// Unknown costs: quarter-of-the-day prior.
-		{2, 3, 0, 0, 1, 1},
-		{4, 3, 0, 0, 3, 1},
-		{8, 3, 0, 0, 6, 2},
-		// Rank negligible: step takes everything but one worker.
-		{8, 3, 100, 1, 7, 1},
-		// Balanced: proportional, but rank capped at rankCap.
-		{8, 3, 1, 1, 5, 3},
-		{4, 2, 1, 1, 2, 2},
-		// Rank dominant: cap still binds.
-		{8, 3, 1, 100, 5, 3},
-		// Degenerate budgets.
-		{1, 3, 5, 5, 1, 1},
-		{0, 3, 5, 5, 1, 1},
-		{2, 0, 1, 1, 1, 1},
-	}
-	for _, c := range cases {
-		stepW, rankW := Split(c.total, c.rankCap, c.stepCost, c.rankCost)
-		if stepW != c.wantStep || rankW != c.wantRank {
-			t.Errorf("Split(%d, %d, %v, %v) = (%d, %d), want (%d, %d)",
-				c.total, c.rankCap, c.stepCost, c.rankCost, stepW, rankW, c.wantStep, c.wantRank)
-		}
-		if c.total > 1 && stepW+rankW > c.total {
-			t.Errorf("Split(%d, ...) oversubscribes: %d + %d", c.total, stepW, rankW)
-		}
-	}
-}
-
 // setProcs sets GOMAXPROCS for the rest of the test.
 func setProcs(t *testing.T, n int) {
 	old := runtime.GOMAXPROCS(n)

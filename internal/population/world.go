@@ -3,7 +3,6 @@ package population
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/rng"
@@ -229,7 +228,7 @@ func Build(cfg Config) (*World, error) {
 
 	// Popularity quantiles (by the shared latent; WebPop correlates) —
 	// used for infrastructure attribute assignment.
-	w.assignInfrastructure(root.Derive("infra"))
+	w.assignInfrastructure(root.Derive("infra"), perm)
 
 	// --- Subdomains ----------------------------------------------------
 	w.generateSubdomains(gen, root.Derive("subs"), suffix)
@@ -239,21 +238,12 @@ func Build(cfg Config) (*World, error) {
 
 // assignInfrastructure draws attributes for every base domain from the
 // adoption curves at the domain's popularity quantile, then assigns
-// hosting (CDN, AS, IPv4, TTL).
-func (w *World) assignInfrastructure(r *rng.Rand) {
+// hosting (CDN, AS, IPv4, TTL). perm is the Zipf rank permutation:
+// base i's Latent is ZipfWeight(perm[i]+1), strictly decreasing in
+// the rank, so perm[i] is also base i's position in descending Latent
+// order.
+func (w *World) assignInfrastructure(r *rng.Rand, perm []int) {
 	n := len(w.baseIDs)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := &w.Domains[w.baseIDs[order[a]]], &w.Domains[w.baseIDs[order[b]]]
-		return da.Latent > db.Latent
-	})
-	quantile := make([]float64, n)
-	for rank, idx := range order {
-		quantile[idx] = float64(rank+1) / float64(n)
-	}
 
 	massASes := w.ASes.ByRole(simnet.RoleMassHosting)
 	cloudASes := w.ASes.ByRole(simnet.RoleCloud)
@@ -265,7 +255,7 @@ func (w *World) assignInfrastructure(r *rng.Rand) {
 
 	for i, bid := range w.baseIDs {
 		d := &w.Domains[bid]
-		q := quantile[i]
+		q := float64(perm[i]+1) / float64(n)
 		// Head domains serve the whole population and barely shift on
 		// weekends (the paper finds top domains far more stable, §6.2);
 		// attenuate the weekend factor toward 1 with popularity.

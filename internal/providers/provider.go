@@ -172,14 +172,13 @@ func (g *Generator) Run(days int) (*toplist.Archive, error) {
 }
 
 // StepDay advances all enabled providers to day d — the signal/EMA
-// stepping phase of the day, with rank/top-K selection split out into
-// Freeze(d).Snapshots. With workers > 1 the three providers step
-// concurrently (their EMA states are fully independent) and each
-// shards its per-domain loops across workers; the result is bitwise
-// identical to workers == 1 because every score accumulator still sums
-// the same values in the same order. The EMA state is double-buffered:
-// StepDay(d+1) leaves day d's frozen rank view intact, and only
-// StepDay(d+2) reclaims it.
+// stepping phase of the day; Snapshots ranks the result. With workers
+// > 1 the three providers step concurrently (their EMA states are fully
+// independent) and each shards its per-domain loops across workers;
+// the result is bitwise identical to workers == 1 because every score
+// accumulator still sums the same values in the same order. Each
+// provider's EMA state is updated in place, so day d's Snapshots must
+// be taken before StepDay(d+1).
 func (g *Generator) StepDay(d, workers int) {
 	if g.Opts.AlexaChangeDay >= 0 && d == g.Opts.AlexaChangeDay {
 		g.alexa.alpha = g.Opts.AlexaAlphaPost
@@ -211,44 +210,60 @@ func (g *Generator) StepDay(d, workers int) {
 	parallel.Do(tasks...)
 }
 
-// Snapshots generates the enabled providers' lists for day, in the
-// fixed output order. With workers > 1 the per-provider top-K
-// selections run concurrently. It is Freeze followed by an immediate
-// rank — the barriered composition the pipelined engine splits apart.
+// Snapshots ranks the enabled providers' lists for day — which must be
+// the day of the latest StepDay — in the fixed output order. With
+// workers > 1 the per-provider top-K selections run concurrently; with
+// workers <= 1 they run inline, closure-free, so the serial steady
+// state allocates nothing beyond the lists themselves.
 func (g *Generator) Snapshots(day toplist.Day, workers int) []toplist.Snapshot {
-	return g.Freeze(day).Snapshots(workers)
+	names := g.EnabledProviders()
+	out := make([]toplist.Snapshot, len(names))
+	if workers <= 1 {
+		for i, p := range names {
+			out[i] = toplist.Snapshot{Provider: p, Day: day, List: g.state(p).list(g.Model, g.Opts.ListSize)}
+		}
+		return out
+	}
+	tasks := make([]func(), len(names))
+	for i, p := range names {
+		out[i] = toplist.Snapshot{Provider: p, Day: day}
+		s := &out[i]
+		tasks[i] = func() { s.List = g.state(p).list(g.Model, g.Opts.ListSize) }
+	}
+	parallel.Do(tasks...)
+	return out
 }
 
-// RankView is a frozen view of the rank inputs for one day, captured
-// by Freeze after StepDay(d): the EMA front buffers by reference
-// (copy-free — they are double-buffered) plus a clone of the small
-// injected-name states. The view stays valid while StepDay(d+1) runs
-// and is invalidated by StepDay(d+2), which reclaims the buffers; the
-// engine's pipeline enforces that ordering, giving it one full day of
-// top-K selection overlapped with the next day's stepping.
-type RankView struct {
-	day      toplist.Day
-	listSize int
-	views    []providerView
+// state returns provider's rank state, or nil for a disabled or
+// unknown provider.
+func (g *Generator) state(provider string) *rankState {
+	if !g.Opts.enabled(provider) {
+		return nil
+	}
+	switch provider {
+	case Alexa:
+		return &g.alexa.rankState
+	case Umbrella:
+		return &g.umbrella.rankState
+	case Majestic:
+		return &g.majestic.rankState
+	}
+	return nil
 }
 
-// providerView is one provider's frozen rank input.
-type providerView struct {
-	provider string
-	m        *traffic.Model
-	ema      []float64
-	extra    map[string]float64
-	// scratch is the provider's persistent top-K selection scratch.
-	// Only one rank view per generator may rank at a time (the pipeline
-	// hands views over an unbuffered channel, which enforces exactly
-	// that), so sharing the ranker-owned buffers across days is safe
-	// and makes the steady-state rank phase allocation-free.
-	scratch *rankScratch
+// rankState is what one provider ranks from: its per-domain EMA window
+// state, updated in place by each step, the injected names' EMA, and
+// the provider's persistent top-K selection scratch, which makes the
+// steady-state rank phase allocation-free.
+type rankState struct {
+	ema     []float64
+	extra   map[string]float64
+	scratch rankScratch
 }
 
-func (pv *providerView) list(size int) *toplist.List {
-	top := topIDsInto(&pv.scratch.cand, pv.ema, size)
-	return mergeExtras(pv.m, top, pv.ema, pv.extra, size, pv.scratch)
+func (s *rankState) list(m *traffic.Model, size int) *toplist.List {
+	top := topIDsInto(&s.scratch.cand, s.ema, size)
+	return mergeExtras(m, top, s.ema, s.extra, size, &s.scratch)
 }
 
 // rankScratch holds one provider's reusable top-K selection buffers:
@@ -260,62 +275,6 @@ type rankScratch struct {
 	cand  []uint32
 	names []string
 	ids   []uint32
-}
-
-func cloneExtra(extra map[string]float64) map[string]float64 {
-	if len(extra) == 0 {
-		return nil
-	}
-	out := make(map[string]float64, len(extra))
-	for k, v := range extra {
-		out[k] = v
-	}
-	return out
-}
-
-// Freeze captures the rank inputs for day — which must be the day of
-// the latest StepDay — so top-K selection can run concurrently with
-// the next day's stepping. See RankView for the validity window.
-func (g *Generator) Freeze(day toplist.Day) *RankView {
-	v := &RankView{day: day, listSize: g.Opts.ListSize, views: make([]providerView, 0, 3)}
-	if g.Opts.enabled(Alexa) {
-		v.views = append(v.views, providerView{Alexa, g.Model, g.alexa.ema.Front(), cloneExtra(g.alexa.extra), &g.alexa.scratch})
-	}
-	if g.Opts.enabled(Umbrella) {
-		v.views = append(v.views, providerView{Umbrella, g.Model, g.umbrella.ema.Front(), cloneExtra(g.umbrella.extra), &g.umbrella.scratch})
-	}
-	if g.Opts.enabled(Majestic) {
-		v.views = append(v.views, providerView{Majestic, g.Model, g.majestic.ema.Front(), cloneExtra(g.majestic.extra), &g.majestic.scratch})
-	}
-	return v
-}
-
-// Day returns the day the view was frozen at.
-func (v *RankView) Day() toplist.Day { return v.day }
-
-// Snapshots runs the rank/top-K selection phase over the frozen state,
-// producing the day's lists in the fixed provider output order. With
-// workers > 1 the per-provider selections run concurrently; with
-// workers <= 1 they run inline, closure-free, so the serial steady
-// state allocates nothing beyond the lists themselves.
-func (v *RankView) Snapshots(workers int) []toplist.Snapshot {
-	out := make([]toplist.Snapshot, len(v.views))
-	if workers <= 1 {
-		for i := range v.views {
-			pv := &v.views[i]
-			out[i] = toplist.Snapshot{Provider: pv.provider, Day: v.day, List: pv.list(v.listSize)}
-		}
-		return out
-	}
-	gen := make([]func(), 0, len(v.views))
-	for i := range v.views {
-		pv := &v.views[i]
-		out[i] = toplist.Snapshot{Provider: pv.provider, Day: v.day}
-		s := &out[i]
-		gen = append(gen, func() { s.List = pv.list(v.listSize) })
-	}
-	parallel.Do(gen...)
-	return out
 }
 
 // --- base-domain web/link ranker (Alexa, Majestic) --------------------
@@ -364,11 +323,9 @@ type webRanker struct {
 	// subnets) into the axis's latent signal units.
 	convert func(float64) float64
 
-	sig     []float64          // per-record scratch
-	score   []float64          // per-base aggregated daily signal
-	ema     *dualEMA           // per-base window state, double-buffered
-	extra   map[string]float64 // injected names' EMA
-	scratch rankScratch        // persistent top-K selection buffers
+	sig   []float64 // per-record scratch
+	score []float64 // per-base aggregated daily signal
+	rankState
 	started bool
 }
 
@@ -390,8 +347,10 @@ func newWebRanker(m *traffic.Model, axis traffic.Axis, alpha float64, inj *traff
 		convert: convert,
 		sig:     make([]float64, n),
 		score:   make([]float64, n),
-		ema:     newDualEMA(n),
-		extra:   make(map[string]float64),
+		rankState: rankState{
+			ema:   make([]float64, n),
+			extra: make(map[string]float64),
+		},
 	}
 }
 
@@ -404,10 +363,9 @@ func (r *webRanker) step(day, workers int) {
 			r.m.SignalRange(r.axis, day, r.sig, lo, hi)
 		})
 	}
-	// The EMA advance reads yesterday's front buffer and writes the
-	// back buffer, then flips — never in place, so the previous front
-	// remains a valid frozen rank view while the next day steps.
-	prev, next := r.ema.Front(), r.ema.Back()
+	// The EMA advances in place: each element reads only its own
+	// previous value.
+	ema := r.ema
 	a := r.alpha
 	started := r.started
 	if workers <= 1 {
@@ -421,10 +379,10 @@ func (r *webRanker) step(day, workers int) {
 			r.score[bid] += r.sig[i]
 		}
 		if !started {
-			copy(next, r.score)
+			copy(ema, r.score)
 		} else {
 			for i := range r.score {
-				next[i] = (1-a)*prev[i] + a*r.score[i]
+				ema[i] = (1-a)*ema[i] + a*r.score[i]
 			}
 		}
 	} else {
@@ -441,14 +399,13 @@ func (r *webRanker) step(day, workers int) {
 				}
 				r.score[b] = s
 				if !started {
-					next[b] = s
+					ema[b] = s
 				} else {
-					next[b] = (1-a)*prev[b] + a*s
+					ema[b] = (1-a)*ema[b] + a*s
 				}
 			}
 		})
 	}
-	r.ema.Flip()
 	r.started = true
 	stepExtras(r.extra, r.injectionsFor(day), a, r.convert)
 }
@@ -543,21 +500,21 @@ type dnsRanker struct {
 	m    *traffic.Model
 	opts Options
 
-	sig     []float64
-	ema     *dualEMA           // per-record window state, double-buffered
-	extra   map[string]float64 // injected names' EMA
-	scratch rankScratch        // persistent top-K selection buffers
+	sig []float64
+	rankState
 	started bool
 }
 
 func newDNSRanker(m *traffic.Model, opts Options) *dnsRanker {
 	n := m.W.Len()
 	return &dnsRanker{
-		m:     m,
-		opts:  opts,
-		sig:   make([]float64, n),
-		ema:   newDualEMA(n),
-		extra: make(map[string]float64),
+		m:    m,
+		opts: opts,
+		sig:  make([]float64, n),
+		rankState: rankState{
+			ema:   make([]float64, n),
+			extra: make(map[string]float64),
+		},
 	}
 }
 
@@ -569,18 +526,14 @@ const queriesPerClient = 12.0
 func (r *dnsRanker) step(day, workers int) {
 	n := len(r.sig)
 	// Signal fill and the per-record EMA update are elementwise, so
-	// sharding them changes nothing about the arithmetic. As in
-	// webRanker, the update reads the front buffer and writes the back
-	// so a frozen rank view of yesterday survives this step.
-	prev, next := r.ema.Front(), r.ema.Back()
+	// sharding them changes nothing about the arithmetic.
 	if workers <= 1 {
-		r.stepRange(day, prev, next, 0, n)
+		r.stepRange(day, 0, n)
 	} else {
 		parallel.For(workers, n, func(lo, hi int) {
-			r.stepRange(day, prev, next, lo, hi)
+			r.stepRange(day, lo, hi)
 		})
 	}
-	r.ema.Flip()
 	r.stepExtras(day)
 	r.started = true
 }
@@ -618,8 +571,9 @@ func (r *dnsRanker) stepExtras(day int) {
 // stepRange fills signal and advances the EMA over records [lo, hi) —
 // the shardable body of step, also callable directly so the serial
 // path stays closure-free.
-func (r *dnsRanker) stepRange(day int, prev, next []float64, lo, hi int) {
+func (r *dnsRanker) stepRange(day, lo, hi int) {
 	a := r.opts.UmbrellaAlpha
+	ema := r.ema
 	r.m.SignalRange(traffic.AxisDNS, day, r.sig, lo, hi)
 	for i := lo; i < hi; i++ {
 		clients := r.m.UniqueClients(r.sig[i])
@@ -628,9 +582,9 @@ func (r *dnsRanker) stepRange(day int, prev, next []float64, lo, hi int) {
 			score = clients * queriesPerClient
 		}
 		if !r.started {
-			next[i] = score
+			ema[i] = score
 		} else {
-			next[i] = (1-a)*prev[i] + a*score
+			ema[i] = (1-a)*ema[i] + a*score
 		}
 	}
 }

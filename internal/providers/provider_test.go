@@ -493,88 +493,12 @@ func BenchmarkTopIDs(b *testing.B) {
 	}
 }
 
-// TestFreezeViewSurvivesNextStep is the double-buffering contract the
-// pipelined engine relies on: a rank view frozen after StepDay(d)
-// produces exactly the same lists after StepDay(d+1) has run as it
-// would have produced immediately — the next step writes the back
-// buffer, not the frozen front.
-func TestFreezeViewSurvivesNextStep(t *testing.T) {
-	w, err := population.Build(population.TestConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := traffic.NewModel(w)
-	mkGen := func() *Generator {
-		opts := DefaultOptions(w.Cfg.Days, 800)
-		opts.BurnInDays = 10
-		inj := traffic.NewInjector()
-		for d := -10; d < w.Cfg.Days; d++ {
-			inj.Add("frozen.example", d, 5000, 60000)
-		}
-		opts.Injector = inj
-		g, err := NewGenerator(m, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return g
-	}
-
-	// Reference: rank immediately after each step.
-	ref := mkGen()
-	for d := -10; d < 0; d++ {
-		ref.StepDay(d, 1)
-	}
-	immediate := make(map[int][]toplist.Snapshot)
-	for d := 0; d < 4; d++ {
-		ref.StepDay(d, 1)
-		immediate[d] = ref.Snapshots(toplist.Day(d), 1)
-	}
-
-	// Pipelined shape: freeze day d, step day d+1, then rank the view.
-	pip := mkGen()
-	for d := -10; d < 0; d++ {
-		pip.StepDay(d, 1)
-	}
-	var pending *RankView
-	deferred := make(map[int][]toplist.Snapshot)
-	for d := 0; d < 4; d++ {
-		pip.StepDay(d, 1)
-		if pending != nil {
-			deferred[int(pending.Day())] = pending.Snapshots(2)
-		}
-		pending = pip.Freeze(toplist.Day(d))
-	}
-	deferred[int(pending.Day())] = pending.Snapshots(2)
-
-	for d := 0; d < 4; d++ {
-		want, got := immediate[d], deferred[d]
-		if len(want) != len(got) {
-			t.Fatalf("day %d: %d vs %d snapshots", d, len(want), len(got))
-		}
-		for i := range want {
-			if want[i].Provider != got[i].Provider || want[i].Day != got[i].Day {
-				t.Fatalf("day %d: snapshot %d header mismatch", d, i)
-			}
-			wn, gn := want[i].List.Names(), got[i].List.Names()
-			if len(wn) != len(gn) {
-				t.Fatalf("day %d %s: list length %d vs %d", d, want[i].Provider, len(wn), len(gn))
-			}
-			for j := range wn {
-				if wn[j] != gn[j] {
-					t.Fatalf("day %d %s rank %d: %q vs %q (frozen view corrupted by next step)",
-						d, want[i].Provider, j, wn[j], gn[j])
-				}
-			}
-		}
-	}
-}
-
 // TestSteadyStateDayAllocations is the allocation regression gate for
 // the zero-alloc day-loop work: a steady-state serial step+rank day —
 // after warm-up has sized every reusable scratch buffer — must stay
 // within a small fixed allocation budget. The remaining allocations
 // are the immutable Lists themselves (one struct + two copies per
-// provider), the frozen RankView, and the snapshots slice; the former
+// provider), the provider-name slice, and the snapshots slice; the former
 // per-day candidate slices, name buffers, and eager rank maps are
 // gone. A regression (a new per-domain or per-list-entry allocation on
 // the day path) blows the budget immediately.
@@ -597,11 +521,11 @@ func TestSteadyStateDayAllocations(t *testing.T) {
 	day := 0
 	for ; day < 5; day++ {
 		g.StepDay(day, 1)
-		g.Freeze(toplist.Day(day)).Snapshots(1)
+		g.Snapshots(toplist.Day(day), 1)
 	}
 	avg := testing.AllocsPerRun(10, func() {
 		g.StepDay(day, 1)
-		if got := g.Freeze(toplist.Day(day)).Snapshots(1); len(got) != 3 {
+		if got := g.Snapshots(toplist.Day(day), 1); len(got) != 3 {
 			t.Fatalf("day %d: %d snapshots", day, len(got))
 		}
 		day++

@@ -256,22 +256,13 @@ func (s *ShardStepper) stepDNS(day int) {
 
 // --- coordinator-side merge -------------------------------------------
 
-// FrontValues returns provider's current full-length EMA state (the
-// front buffer) — the coordinator reads it to seed reassigned shards.
-// The slice is live generator state: valid until the next StepDay or
-// MergeDay, and must not be modified. Returns nil for disabled or
-// unknown providers.
+// FrontValues returns provider's current full-length EMA state — the
+// coordinator reads it to seed reassigned shards. The slice is live
+// generator state: valid until the next StepDay or MergeDay, and must
+// not be modified. Returns nil for disabled or unknown providers.
 func (g *Generator) FrontValues(provider string) []float64 {
-	if !g.Opts.enabled(provider) {
-		return nil
-	}
-	switch provider {
-	case Alexa:
-		return g.alexa.ema.Front()
-	case Umbrella:
-		return g.umbrella.ema.Front()
-	case Majestic:
-		return g.majestic.ema.Front()
+	if s := g.state(provider); s != nil {
+		return s.ema
 	}
 	return nil
 }
@@ -279,10 +270,10 @@ func (g *Generator) FrontValues(provider string) []float64 {
 // MergeDay advances the generator to day d from externally computed
 // per-domain EMA state instead of stepping signals locally — the
 // coordinator half of a distributed StepDay. fill is called once per
-// enabled provider (in the fixed output order) with the provider's back
-// buffer to populate; MergeDay then flips the buffers and steps the
-// injected-name extras exactly as StepDay would, so Freeze/Snapshots
-// behave identically afterwards.
+// enabled provider (in the fixed output order) with the provider's EMA
+// state to overwrite; MergeDay then steps the injected-name extras
+// exactly as StepDay would, so Snapshots behaves identically
+// afterwards.
 //
 // Because merging is a positional copy of values that were produced by
 // the very expressions StepDay runs, no floating-point operation is
@@ -313,20 +304,18 @@ func (g *Generator) MergeDay(d int, fill func(provider string, dst []float64) er
 }
 
 func (r *webRanker) merge(name string, day int, fill func(string, []float64) error) error {
-	if err := fill(name, r.ema.Back()); err != nil {
+	if err := fill(name, r.ema); err != nil {
 		return err
 	}
-	r.ema.Flip()
 	r.started = true
 	stepExtras(r.extra, r.injectionsFor(day), r.alpha, r.convert)
 	return nil
 }
 
 func (r *dnsRanker) merge(name string, day int, fill func(string, []float64) error) error {
-	if err := fill(name, r.ema.Back()); err != nil {
+	if err := fill(name, r.ema); err != nil {
 		return err
 	}
-	r.ema.Flip()
 	r.stepExtras(day)
 	r.started = true
 	return nil

@@ -1,33 +1,5 @@
 package providers
 
-// dualEMA is double-buffered per-domain EMA window state, the
-// mechanism behind the engine's pipelined day overlap: each step reads
-// the front buffer (yesterday's state) and writes the back buffer,
-// then flips. The previous front therefore survives one further step
-// untouched, so a frozen rank view of day d (Generator.Freeze) stays
-// valid while day d+1 steps — and is reclaimed as scratch only when
-// day d+2 steps, which the engine's pipeline orders after day d's
-// top-K selection has finished.
-type dualEMA struct {
-	buf [2][]float64
-	cur int // index of the front buffer
-}
-
-func newDualEMA(n int) *dualEMA {
-	return &dualEMA{buf: [2][]float64{make([]float64, n), make([]float64, n)}}
-}
-
-// Front returns the buffer holding the most recently stepped state —
-// the rank view of the current day.
-func (w *dualEMA) Front() []float64 { return w.buf[w.cur] }
-
-// Back returns the buffer the next step writes; it still holds the
-// state of two days ago, which the caller must be done ranking.
-func (w *dualEMA) Back() []float64 { return w.buf[1-w.cur] }
-
-// Flip promotes the back buffer to front after a step has filled it.
-func (w *dualEMA) Flip() { w.cur = 1 - w.cur }
-
 // SlidingWindow maintains exact N-day sliding sums per domain with a
 // ring buffer — the reference implementation the EMA approximation is
 // validated against (TestEMAApproximatesWindow; the root

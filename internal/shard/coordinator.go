@@ -21,8 +21,8 @@ import (
 
 // Coordinator farms a generation run's per-day stepping out to shard
 // workers and merges their partial results into the local Generator.
-// It implements engine.RemoteStepper, so the engine's serial and
-// pipelined day loops drive it exactly like an in-process StepDay —
+// It implements engine.RemoteStepper, so the engine's day loop drives
+// it exactly like an in-process StepDay —
 // and because shard boundaries are parallel.Shard of (shards, n) and
 // every merge is a positional copy of worker-computed values, the
 // resulting archive is byte-identical to a local run.
@@ -31,7 +31,7 @@ import (
 // the healthiest available worker, a worker that fails its RPC budget
 // is marked failed (entering the set's jittered exponential backoff)
 // and its shard is reseeded on another worker from the coordinator's
-// merged front state — within the same day, never double-merging, so a
+// merged state — within the same day, never double-merging, so a
 // mid-day kill -9 costs latency, not correctness.
 type Coordinator struct {
 	g      *providers.Generator
@@ -251,7 +251,7 @@ func (c *Coordinator) stepShard(ctx context.Context, s *shardSession, day int) (
 		c.workerLag(s.peer.URL()).Set(int64(1))
 		// Drop the session: whatever state the worker holds is now
 		// unreachable or untrusted. Reassignment reseeds from the
-		// coordinator's merged front state (day-1), which is exactly
+		// coordinator's merged state (day-1), which is exactly
 		// what the dead worker had merged so far.
 		s.peer, s.id = nil, ""
 		c.reassigned.Add(1)
@@ -260,8 +260,8 @@ func (c *Coordinator) stepShard(ctx context.Context, s *shardSession, day int) (
 }
 
 // assign opens and seeds a session for s on the healthiest available
-// worker. Seeding always uses the generator's front buffers — the
-// merged state of day-1 — so a reassigned shard resumes bit-identically
+// worker. Seeding always uses the generator's EMA state — the merged
+// state of day-1 — so a reassigned shard resumes bit-identically
 // (proved by TestShardStepperSeedResume at the providers layer).
 func (c *Coordinator) assign(ctx context.Context, s *shardSession, day int) error {
 	avail := c.peers.Available()

@@ -223,9 +223,8 @@ func WithSource(src Source) Option {
 // farms them out over the /shard/v1 wire API, and merges the partial
 // results — byte-identically to a local run, including across worker
 // failures (dead workers' shards are reseeded on survivors mid-day).
-// Composes with the Scale's Workers (which keeps tuning the local
-// rank/emit pipeline) and WithArchiveDir; mutually exclusive with
-// WithSource.
+// Composes with the Scale's Workers (which keeps setting the local
+// rank width) and WithArchiveDir; mutually exclusive with WithSource.
 func WithRemoteWorkers(urls ...string) Option {
 	return func(c *config) { c.remoteWorkers = append(c.remoteWorkers, urls...) }
 }
