@@ -15,7 +15,10 @@
 //
 // In -diff mode the two artifacts are joined on benchmark name with
 // GOMAXPROCS and worker-count suffixes stripped (so "serial-2" on a
-// 2-core runner matches "serial-4" on a 4-core one), days/sec,
+// 2-core runner matches "serial-4" on a 4-core one). A benchmark with
+// several entries on one side (a -count run, or one command run
+// several times into the same input) is read as the per-metric median
+// over its entries; a single entry is its own median. Then days/sec,
 // req/sec, B/op, and allocs/op are compared, and the exit status is
 // nonzero if any metric regressed by more than -max-regress (a
 // fraction; default 0.30, generous enough to absorb shared-runner
@@ -38,6 +41,7 @@ import (
 	"io"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -171,6 +175,37 @@ var diffMetrics = []struct {
 	{"allocs/op", false},
 }
 
+// medians joins doc's entries on normalised name. It returns the names
+// in first-seen order and, per name, each metric's median over the
+// entries that report it.
+func medians(doc *document) ([]string, map[string]map[string]float64) {
+	var order []string
+	samples := make(map[string]map[string][]float64)
+	for _, r := range doc.Results {
+		key := normalize(r.Name)
+		m, ok := samples[key]
+		if !ok {
+			m = make(map[string][]float64)
+			samples[key] = m
+			order = append(order, key)
+		}
+		for k, v := range r.Metrics {
+			m[k] = append(m[k], v)
+		}
+	}
+	out := make(map[string]map[string]float64, len(samples))
+	for key, m := range samples {
+		med := make(map[string]float64, len(m))
+		for k, vs := range m {
+			sort.Float64s(vs)
+			n := len(vs)
+			med[k] = (vs[(n-1)/2] + vs[n/2]) / 2
+		}
+		out[key] = med
+	}
+	return order, out
+}
+
 // diff compares the common benchmarks of two artifacts and returns the
 // number of metrics regressed beyond maxRegress. Benchmarks or metrics
 // present on only one side are reported but never fail the diff — a
@@ -179,16 +214,11 @@ var diffMetrics = []struct {
 // the middleware-overhead check cares about req/sec alone, where the
 // variants legitimately differ on allocation behavior.
 func diff(w io.Writer, old, cur *document, maxRegress float64, only string) int {
-	newByName := make(map[string]result, len(cur.Results))
-	for _, r := range cur.Results {
-		newByName[normalize(r.Name)] = r
-	}
-	oldSeen := make(map[string]bool, len(old.Results))
+	oldOrder, oldMed := medians(old)
+	newOrder, newMed := medians(cur)
 	regressions := 0
-	for _, o := range old.Results {
-		key := normalize(o.Name)
-		oldSeen[key] = true
-		n, ok := newByName[key]
+	for _, key := range oldOrder {
+		n, ok := newMed[key]
 		if !ok {
 			fmt.Fprintf(w, "%-40s only in old artifact, skipped\n", key)
 			continue
@@ -197,8 +227,8 @@ func diff(w io.Writer, old, cur *document, maxRegress float64, only string) int 
 			if only != "" && m.key != only {
 				continue
 			}
-			ov, oOK := o.Metrics[m.key]
-			nv, nOK := n.Metrics[m.key]
+			ov, oOK := oldMed[key][m.key]
+			nv, nOK := n[m.key]
 			if oOK != nOK {
 				// A metric present on only one side means the gate no
 				// longer covers it — say so instead of silently
@@ -231,8 +261,8 @@ func diff(w io.Writer, old, cur *document, maxRegress float64, only string) int 
 				key, m.key, ov, nv, change*100, status)
 		}
 	}
-	for _, r := range cur.Results {
-		if key := normalize(r.Name); !oldSeen[key] {
+	for _, key := range newOrder {
+		if _, ok := oldMed[key]; !ok {
 			fmt.Fprintf(w, "%-40s only in new artifact, skipped\n", key)
 		}
 	}

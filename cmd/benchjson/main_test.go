@@ -75,6 +75,30 @@ func TestDiffSkipsMissingBenchmarks(t *testing.T) {
 	}
 }
 
+// TestDiffComparesMedians: repeated entries of one benchmark are read
+// as their per-metric median, so one outlier run among three does not
+// decide the gate, as it would if the last entry stood for all three.
+func TestDiffComparesMedians(t *testing.T) {
+	old := mkDoc(160, 15e6, 1800)
+	cur := mkDoc(158, 15e6, 1800)
+	cur.Results = append(cur.Results, mkDoc(162, 15e6, 1800).Results...)
+	cur.Results = append(cur.Results, mkDoc(90, 15e6, 1800).Results...) // one noisy run
+	var sb strings.Builder
+	if n := diff(&sb, old, cur, 0.15, ""); n != 0 {
+		t.Fatalf("one outlier among three entries flagged %d regressions:\n%s", n, sb.String())
+	}
+	if !strings.Contains(sb.String(), "160.0 ->          158.0") {
+		t.Fatalf("diff did not compare the median of the new entries:\n%s", sb.String())
+	}
+
+	// Two slow runs of three are a regression.
+	cur.Results[1].Metrics["days/sec"] = 95
+	sb.Reset()
+	if n := diff(&sb, old, cur, 0.15, "days/sec"); n != 1 {
+		t.Fatalf("median of two slow runs passed (%d):\n%s", n, sb.String())
+	}
+}
+
 func TestParseRoundTrip(t *testing.T) {
 	text := `goos: linux
 goarch: amd64

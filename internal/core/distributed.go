@@ -3,42 +3,25 @@ package core
 import (
 	"context"
 
-	"repro/internal/analysis"
 	"repro/internal/engine"
-	"repro/internal/measure"
 	"repro/internal/population"
-	"repro/internal/providers"
 	"repro/internal/shard"
 	"repro/internal/toplist"
-	"repro/internal/traffic"
 )
 
 // distributedParts builds the full distributed-generation stack for a
-// scale: world, model, generator options, coordinator over workerURLs,
-// and an engine whose StepDay runs through it.
-func distributedParts(s Scale, workerURLs []string, opts []shard.CoordinatorOption) (
-	*population.World, *traffic.Model, providers.Options, *engine.Engine, *shard.Coordinator, error,
-) {
-	if err := s.Validate(); err != nil {
-		return nil, nil, providers.Options{}, nil, nil, err
-	}
-	w, err := population.Build(s.Population)
+// scale: its parts, a coordinator over workerURLs, and an engine whose
+// StepDay runs through it.
+func distributedParts(s Scale, workerURLs []string, opts []shard.CoordinatorOption) (parts, *engine.Engine, *shard.Coordinator, error) {
+	p, g, err := generator(s)
 	if err != nil {
-		return nil, nil, providers.Options{}, nil, nil, err
+		return parts{}, nil, nil, err
 	}
-	m := traffic.NewModel(w)
-	genOpts := providers.DefaultOptions(s.Population.Days, s.ListSize)
-	genOpts.BurnInDays = s.BurnInDays
-	g, err := providers.NewGenerator(m, genOpts)
+	coord, err := shard.NewCoordinator(g, shard.JobFor(s.Population, p.opts, p.model), workerURLs, opts...)
 	if err != nil {
-		return nil, nil, providers.Options{}, nil, nil, err
+		return parts{}, nil, nil, err
 	}
-	coord, err := shard.NewCoordinator(g, shard.JobFor(s.Population, genOpts, m), workerURLs, opts...)
-	if err != nil {
-		return nil, nil, providers.Options{}, nil, nil, err
-	}
-	eng := engine.New(g, engine.Config{Workers: s.Workers, Remote: coord})
-	return w, m, genOpts, eng, coord, nil
+	return p, engine.New(g, engine.Config{Workers: s.Workers, Remote: coord}), coord, nil
 }
 
 // NewDistributedEngine is NewEngine with the per-day stepping farmed
@@ -48,8 +31,11 @@ func distributedParts(s Scale, workerURLs []string, opts []shard.CoordinatorOpti
 // back bitwise-identically to a local run. Callers must Close the
 // coordinator when the run ends.
 func NewDistributedEngine(s Scale, workerURLs []string, opts ...shard.CoordinatorOption) (*population.World, *engine.Engine, *shard.Coordinator, error) {
-	w, _, _, eng, coord, err := distributedParts(s, workerURLs, opts)
-	return w, eng, coord, err
+	p, eng, coord, err := distributedParts(s, workerURLs, opts)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return p.world, eng, coord, nil
 }
 
 // RunDistributed is RunContext with generation distributed across the
@@ -58,24 +44,10 @@ func NewDistributedEngine(s Scale, workerURLs []string, opts ...shard.Coordinato
 // byte-identical — only the wall-clock location of the per-domain math
 // changes.
 func RunDistributed(ctx context.Context, s Scale, tee toplist.SnapshotSink, workerURLs []string, opts ...shard.CoordinatorOption) (*Study, error) {
-	w, m, genOpts, eng, coord, err := distributedParts(s, workerURLs, opts)
+	p, eng, coord, err := distributedParts(s, workerURLs, opts)
 	if err != nil {
 		return nil, err
 	}
 	defer coord.Close()
-	days := s.Population.Days
-	arch := toplist.NewArchive(0, toplist.Day(days-1))
-	arch.Expect(eng.Providers()...)
-	if err := eng.Run(ctx, days, engine.Tee(arch, tee)); err != nil {
-		return nil, err
-	}
-	return &Study{
-		Scale:    s,
-		Opts:     genOpts,
-		World:    w,
-		Model:    m,
-		Archive:  arch,
-		Analysis: analysis.NewContext(w, arch),
-		Campaign: measure.NewCampaign(w),
-	}, nil
+	return p.run(ctx, eng, tee)
 }

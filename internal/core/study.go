@@ -89,26 +89,81 @@ type Study struct {
 	Campaign *measure.Campaign
 }
 
+// parts is what every study constructor derives from a scale before it
+// generates or reads an archive: the world, its traffic model and the
+// generator options.
+type parts struct {
+	scale Scale
+	world *population.World
+	model *traffic.Model
+	opts  providers.Options
+}
+
+// build derives the parts of a validated scale. It builds no
+// generator: RunFrom, which only reads an archive, needs none.
+func build(s Scale) (parts, error) {
+	w, err := population.Build(s.Population)
+	if err != nil {
+		return parts{}, err
+	}
+	opts := providers.DefaultOptions(s.Population.Days, s.ListSize)
+	opts.BurnInDays = s.BurnInDays
+	return parts{scale: s, world: w, model: traffic.NewModel(w), opts: opts}, nil
+}
+
+// generator validates s and builds its parts and a fresh generator
+// over them.
+func generator(s Scale) (parts, *providers.Generator, error) {
+	if err := s.Validate(); err != nil {
+		return parts{}, nil, err
+	}
+	p, err := build(s)
+	if err != nil {
+		return parts{}, nil, err
+	}
+	g, err := providers.NewGenerator(p.model, p.opts)
+	if err != nil {
+		return parts{}, nil, err
+	}
+	return p, g, nil
+}
+
+// study assembles the Study that serves arch.
+func (p *parts) study(arch toplist.Source) *Study {
+	return &Study{
+		Scale:    p.scale,
+		Opts:     p.opts,
+		World:    p.world,
+		Model:    p.model,
+		Archive:  arch,
+		Analysis: analysis.NewContext(p.world, arch),
+		Campaign: measure.NewCampaign(p.world),
+	}
+}
+
+// run generates the scale's days with eng into a fresh in-memory
+// archive, teed into tee when it is non-nil, and returns the Study
+// over that archive.
+func (p *parts) run(ctx context.Context, eng *engine.Engine, tee toplist.SnapshotSink) (*Study, error) {
+	days := p.scale.Population.Days
+	arch := toplist.NewArchive(0, toplist.Day(days-1))
+	arch.Expect(eng.Providers()...)
+	if err := eng.Run(ctx, days, engine.Tee(arch, tee)); err != nil {
+		return nil, err
+	}
+	return p.study(arch), nil
+}
+
 // NewEngine builds the world and a simulation engine for it, for
 // callers that stream snapshots day by day (cmd/toplistd -live)
 // instead of materialising a Study. The engine covers
 // s.Population.Days days.
 func NewEngine(s Scale) (*population.World, *engine.Engine, error) {
-	if err := s.Validate(); err != nil {
-		return nil, nil, err
-	}
-	w, err := population.Build(s.Population)
+	p, g, err := generator(s)
 	if err != nil {
 		return nil, nil, err
 	}
-	m := traffic.NewModel(w)
-	opts := providers.DefaultOptions(s.Population.Days, s.ListSize)
-	opts.BurnInDays = s.BurnInDays
-	g, err := providers.NewGenerator(m, opts)
-	if err != nil {
-		return nil, nil, err
-	}
-	return w, engine.New(g, engine.Config{Workers: s.Workers}), nil
+	return p.world, engine.New(g, engine.Config{Workers: s.Workers}), nil
 }
 
 // RunContext builds the world, generates the archive (concurrently,
@@ -117,36 +172,11 @@ func NewEngine(s Scale) (*population.World, *engine.Engine, error) {
 // (e.g. a toplist.DiskStore persisting the run), and cancelling ctx
 // stops the engine at the next day boundary.
 func RunContext(ctx context.Context, s Scale, tee toplist.SnapshotSink) (*Study, error) {
-	if err := s.Validate(); err != nil {
-		return nil, err
-	}
-	w, err := population.Build(s.Population)
+	p, g, err := generator(s)
 	if err != nil {
 		return nil, err
 	}
-	m := traffic.NewModel(w)
-	opts := providers.DefaultOptions(s.Population.Days, s.ListSize)
-	opts.BurnInDays = s.BurnInDays
-	g, err := providers.NewGenerator(m, opts)
-	if err != nil {
-		return nil, err
-	}
-	days := s.Population.Days
-	arch := toplist.NewArchive(0, toplist.Day(days-1))
-	arch.Expect(g.EnabledProviders()...)
-	eng := engine.New(g, engine.Config{Workers: s.Workers})
-	if err := eng.Run(ctx, days, engine.Tee(arch, tee)); err != nil {
-		return nil, err
-	}
-	return &Study{
-		Scale:    s,
-		Opts:     opts,
-		World:    w,
-		Model:    m,
-		Archive:  arch,
-		Analysis: analysis.NewContext(w, arch),
-		Campaign: measure.NewCampaign(w),
-	}, nil
+	return p.run(ctx, engine.New(g, engine.Config{Workers: s.Workers}), tee)
 }
 
 // RunFrom rebuilds a study around an already-generated archive: the
@@ -171,22 +201,11 @@ func RunFrom(s Scale, src toplist.Source) (*Study, error) {
 	if first := src.First(); first != 0 {
 		return nil, fmt.Errorf("core: archive starts on day %d (%v); a study starts on day 0 (%v)", int(first), first, toplist.Day(0))
 	}
-	w, err := population.Build(s.Population)
+	p, err := build(s)
 	if err != nil {
 		return nil, err
 	}
-	m := traffic.NewModel(w)
-	opts := providers.DefaultOptions(s.Population.Days, s.ListSize)
-	opts.BurnInDays = s.BurnInDays
-	return &Study{
-		Scale:    s,
-		Opts:     opts,
-		World:    w,
-		Model:    m,
-		Archive:  src,
-		Analysis: analysis.NewContext(w, src),
-		Campaign: measure.NewCampaign(w),
-	}, nil
+	return p.study(src), nil
 }
 
 // Days returns the archive length in days.

@@ -13,17 +13,6 @@ import (
 	"repro/internal/toplist"
 )
 
-// timingStore is the durable side-channel for observed experiment wall
-// times: toplist.DiskStore implements it in the archive manifest. An
-// Env whose source or tee implements it preloads the recorded times —
-// so a fresh process's first RunAllWorkers round is already scheduled
-// longest-job-first from real data — and records every new observation
-// back, best-effort.
-type timingStore interface {
-	RecordTiming(id string, d time.Duration) error
-	Timings() map[string]time.Duration
-}
-
 // Env lazily materialises the study shared by the experiment drivers.
 type Env struct {
 	Scale core.Scale
@@ -35,8 +24,6 @@ type Env struct {
 	// tee, when set, additionally streams every generated snapshot into
 	// it (ignored when source is set — nothing is generated).
 	tee toplist.SnapshotSink
-	// timing, when set, persists observed wall times across processes.
-	timing timingStore
 
 	mu      sync.Mutex
 	runCtx  context.Context // ctx governing the (single) materialisation
@@ -54,34 +41,9 @@ func NewEnv(scale core.Scale) *Env { return &Env{Scale: scale} }
 // already-generated archive source instead of simulating: scale must
 // match the scale that produced the source (it rebuilds the world and
 // analysis layers deterministically), and the engine is never invoked.
-// A source that records timings (a reopened toplist.DiskStore) seeds
-// the pool's longest-job-first schedule with the wall times observed
-// by whatever process ran experiments against the archive before.
+// The Env only reads src: nothing it observes is written back.
 func NewEnvFrom(scale core.Scale, src toplist.Source) *Env {
-	e := &Env{Scale: scale, source: src}
-	e.adoptTimings(src)
-	return e
-}
-
-// adoptTimings wires a timing-recording store (if v is one) into the
-// Env: recorded wall times are preloaded into the scheduling state,
-// and future observations are persisted back.
-func (e *Env) adoptTimings(v any) {
-	ts, ok := v.(timingStore)
-	if !ok {
-		return
-	}
-	e.timing = ts
-	if saved := ts.Timings(); len(saved) > 0 {
-		e.mu.Lock()
-		if e.elapsed == nil {
-			e.elapsed = make(map[string]time.Duration, len(saved))
-		}
-		for id, d := range saved {
-			e.elapsed[id] = d
-		}
-		e.mu.Unlock()
-	}
+	return &Env{Scale: scale, source: src}
 }
 
 // NewEnvError builds an environment that reports err from every
@@ -95,15 +57,12 @@ func NewEnvError(scale core.Scale, err error) *Env {
 // SetTee streams every snapshot the (future) simulation generates into
 // sink as well — e.g. a toplist.DiskStore persisting the run. It must
 // be called before the study materialises; it has no effect on an Env
-// built from a source (nothing is generated, and timing persistence
-// stays with the source). A sink that records timings additionally
-// persists observed experiment wall times into the archive.
+// built from a source (nothing is generated).
 func (e *Env) SetTee(sink toplist.SnapshotSink) {
 	if e.source != nil {
 		return
 	}
 	e.tee = sink
-	e.adoptTimings(sink)
 }
 
 // Study returns the materialised study, running the simulation once
@@ -147,20 +106,14 @@ func (e *Env) bind(ctx context.Context) {
 }
 
 // noteElapsed records an observed experiment wall time; subsequent
-// RunAll calls on the same Env use it for longest-job-first ordering,
-// and a timing-recording archive persists it for future processes.
+// RunAll calls on the same Env use it for longest-job-first ordering.
 func (e *Env) noteElapsed(id string, d time.Duration) {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.elapsed == nil {
 		e.elapsed = make(map[string]time.Duration)
 	}
 	e.elapsed[id] = d
-	e.mu.Unlock()
-	if e.timing != nil {
-		// Best-effort: a full disk must not fail the experiment whose
-		// result is already in hand.
-		_ = e.timing.RecordTiming(id, d)
-	}
 }
 
 // observedElapsed returns the recorded wall time for id (0 if never

@@ -1,8 +1,12 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -130,22 +134,41 @@ func TestStudyRetriesAfterCancelledMaterialisation(t *testing.T) {
 	}
 }
 
-// TestPersistedTimingsCalibrateFreshEnv: wall times recorded into a
-// durable archive by an earlier process preload a fresh Env built from
-// that archive, so its first pooled round is already ordered by real
-// observations — and new observations are persisted back.
-func TestPersistedTimingsCalibrateFreshEnv(t *testing.T) {
+// TestSourceEnvLeavesManifestUntouched: running an experiment over a
+// reopened archive only reads it. manifest.json keeps its bytes and
+// its mtime, so a concurrent writer's update is never overwritten and
+// a server polling the file sees no change. The manifest carries the
+// timings_us field older builds wrote, which must still open.
+func TestSourceEnvLeavesManifestUntouched(t *testing.T) {
+	scale := core.TestScale()
+	scale.Population.Days = 10
+	scale.BurnInDays = 15
 	dir := t.TempDir()
-	store, err := toplist.CreateDiskStore(dir, 0, 0)
+	store, err := toplist.CreateDiskStore(dir, 0, toplist.Day(scale.Population.Days-1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A "previous process" observed table1 to be pathologically slow
-	// and fig5 (statically the heaviest grid) to be cheap here.
-	if err := store.RecordTiming("table1", 500*time.Second); err != nil {
+	if _, err := core.RunContext(context.Background(), scale, store); err != nil {
 		t.Fatal(err)
 	}
-	if err := store.RecordTiming("fig5", 10*time.Millisecond); err != nil {
+	path := filepath.Join(dir, "manifest.json")
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc map[string]any
+	if err := json.Unmarshal(raw, &doc); err != nil {
+		t.Fatal(err)
+	}
+	doc["timings_us"] = map[string]int64{"table1": 500_000_000, "fig5": 10_000}
+	if raw, err = json.Marshal(doc); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.Stat(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -153,46 +176,21 @@ func TestPersistedTimingsCalibrateFreshEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEnvFrom(core.TestScale(), reopened)
-	if e.observedElapsed("table1") != 500*time.Second {
-		t.Fatal("persisted timing not preloaded into the fresh Env")
+	if _, err := Run(context.Background(), NewEnvFrom(scale, reopened), "table2"); err != nil {
+		t.Fatal(err)
 	}
-	q := schedule(e, IDs())
-	pos := make(map[string]int, len(q))
-	for i, id := range q {
-		pos[id] = i
-	}
-	if pos["table1"] != 0 {
-		t.Fatalf("persisted-slow table1 at position %d: %v", pos["table1"], q)
-	}
-	if pos["fig5"] < pos["ttl"] {
-		t.Fatalf("persisted-fast fig5 still ahead of unobserved ttl: %v", q)
-	}
-
-	// A new observation on this Env lands back in the archive for the
-	// next process.
-	e.noteElapsed("fig8", 2*time.Second)
-	again, err := toplist.OpenArchive(dir)
+	after, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := again.Timings()["fig8"]; got != 2*time.Second {
-		t.Fatalf("new observation not persisted: fig8 = %v", got)
+	if !bytes.Equal(after, raw) {
+		t.Fatalf("manifest rewritten by a read-only run:\nbefore %s\nafter  %s", raw, after)
 	}
-}
-
-// TestTeeStoreRecordsTimings: an Env persisting its simulation through
-// SetTee(DiskStore) records wall times into the same archive.
-func TestTeeStoreRecordsTimings(t *testing.T) {
-	dir := t.TempDir()
-	store, err := toplist.CreateDiskStore(dir, 0, 0)
+	st, err := os.Stat(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := NewEnv(core.TestScale())
-	e.SetTee(store)
-	e.noteElapsed("table2", 7*time.Second)
-	if got := store.Timings()["table2"]; got != 7*time.Second {
-		t.Fatalf("tee store timing = %v, want 7s", got)
+	if !st.ModTime().Equal(before.ModTime()) {
+		t.Fatalf("manifest mtime moved: %v -> %v", before.ModTime(), st.ModTime())
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/population"
+	"repro/internal/stats"
 )
 
 var cachedWorld *population.World
@@ -213,29 +214,10 @@ func BenchmarkMeasurePopulation(b *testing.B) {
 	}
 }
 
-func TestClassifyBootstrapDirections(t *testing.T) {
-	up := []float64{0.22, 0.23, 0.21, 0.24, 0.22, 0.23}
-	base := []float64{0.04, 0.05, 0.04, 0.04, 0.05, 0.04}
-	if got := ClassifyBootstrap(up, base, 1); got != MarkUp {
-		t.Errorf("clear excess = %v, want ▲", got)
-	}
-	if got := ClassifyBootstrap(base, up, 1); got != MarkDown {
-		t.Errorf("clear deficit = %v, want ▼", got)
-	}
-	same := []float64{0.10, 0.11, 0.09, 0.12, 0.08, 0.10}
-	noisy := []float64{0.12, 0.08, 0.11, 0.09, 0.13, 0.07}
-	if got := ClassifyBootstrap(same, noisy, 1); got != MarkSame {
-		t.Errorf("overlapping series = %v, want ■", got)
-	}
-	if got := ClassifyBootstrap(nil, base, 1); got != MarkSame {
-		t.Errorf("empty series = %v, want ■", got)
-	}
-}
-
-func TestVerdictsAgreeOnRealCampaign(t *testing.T) {
-	// On the simulated world, IPv6 adoption of a popularity-ranked
-	// head must be called ▲ against the population by both the
-	// paper's rule and the bootstrap rule (Table 5's core finding).
+func TestClassifyOnRealCampaign(t *testing.T) {
+	// On the simulated world, the paper's rule must call IPv6 adoption
+	// of a popularity-ranked head ▲ against the population (Table 5's
+	// core finding).
 	w := world(t)
 	c := NewCampaign(w)
 	pop := w.ComNetOrg(0)
@@ -251,11 +233,7 @@ func TestVerdictsAgreeOnRealCampaign(t *testing.T) {
 		listSeries = append(listSeries, lm.IPv6)
 		baseSeries = append(baseSeries, bm.IPv6)
 	}
-	paper, boot, agree := VerdictsAgree(listSeries, baseSeries, 7)
-	if paper != MarkUp || boot != MarkUp {
-		t.Errorf("head IPv6 vs population: paper %s, bootstrap %s, want ▲/▲", paper, boot)
-	}
-	if !agree {
-		t.Error("rules disagree on a clear-cut bias")
+	if got := Classify(stats.Mean(listSeries), stats.Mean(baseSeries), stats.Std(baseSeries)); got != MarkUp {
+		t.Errorf("head IPv6 vs population: %s, want ▲", got)
 	}
 }

@@ -416,6 +416,13 @@ func TestProberSemantics(t *testing.T) {
 	if prober.Probe("nope.invalid").Reachable {
 		t.Fatal("unknown is unreachable")
 	}
+	// HTTP/2 counts only for a landing page reached within the
+	// campaign's redirect limit.
+	for i := range w.Domains {
+		if res := prober.Probe(w.Domains[i].Name); res.HTTP2 && (!res.Reachable || res.Redirects > simnet.MaxRedirects) {
+			t.Fatalf("%s: HTTP/2 past the redirect limit or unreachable: %+v", w.Domains[i].Name, res)
+		}
+	}
 }
 
 func TestComNetOrgPopulation(t *testing.T) {

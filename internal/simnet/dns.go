@@ -10,7 +10,6 @@ const (
 	RCodeNoError RCode = iota
 	RCodeNXDomain
 	RCodeServFail
-	RCodeFormErr
 )
 
 // String returns the conventional RCODE name.
@@ -20,8 +19,6 @@ func (rc RCode) String() string {
 		return "NOERROR"
 	case RCodeNXDomain:
 		return "NXDOMAIN"
-	case RCodeFormErr:
-		return "FORMERR"
 	default:
 		return "SERVFAIL"
 	}

@@ -9,7 +9,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/cache"
 )
@@ -50,10 +49,6 @@ type manifest struct {
 	// snapshot. Slots written by a version-1 store have no entry and
 	// fall back to the decode path.
 	Hashes map[string]map[string]string `json:"hashes,omitempty"`
-	// Timings persists observed experiment wall times (microseconds
-	// by experiment ID) so a fresh process reopening the archive can
-	// schedule its first pooled run longest-job-first from real data.
-	Timings map[string]int64 `json:"timings_us,omitempty"`
 }
 
 // DiskStore is a durable snapshot archive: one gzip-compressed CSV per
@@ -662,35 +657,6 @@ func (ds *DiskStore) Complete() bool {
 	ds.mu.RLock()
 	defer ds.mu.RUnlock()
 	return len(ds.present) > 0 && len(ds.missingLocked()) == 0
-}
-
-// RecordTiming durably notes an observed experiment wall time in the
-// manifest, keyed by experiment ID. The experiment pool calls it after
-// every run, so a fresh process reopening the archive starts its first
-// pooled round already calibrated (see Timings).
-func (ds *DiskStore) RecordTiming(id string, d time.Duration) error {
-	ds.mu.Lock()
-	defer ds.mu.Unlock()
-	if ds.man.Timings == nil {
-		ds.man.Timings = make(map[string]int64)
-	}
-	ds.man.Timings[id] = int64(d / time.Microsecond)
-	return ds.flushManifestLocked()
-}
-
-// Timings returns the experiment wall times recorded in the manifest
-// (nil when none were recorded).
-func (ds *DiskStore) Timings() map[string]time.Duration {
-	ds.mu.RLock()
-	defer ds.mu.RUnlock()
-	if len(ds.man.Timings) == 0 {
-		return nil
-	}
-	out := make(map[string]time.Duration, len(ds.man.Timings))
-	for id, us := range ds.man.Timings {
-		out[id] = time.Duration(us) * time.Microsecond
-	}
-	return out
 }
 
 // flushManifestLocked rewrites manifest.json atomically; callers hold

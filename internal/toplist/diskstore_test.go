@@ -440,37 +440,6 @@ func TestOpenArchiveRejectsUnknownVersion(t *testing.T) {
 	}
 }
 
-// TestDiskStoreTimingsRoundTrip: observed experiment wall times
-// recorded into the manifest survive a reopen.
-func TestDiskStoreTimingsRoundTrip(t *testing.T) {
-	dir := t.TempDir()
-	ds, err := CreateDiskStore(dir, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ds.Timings() != nil {
-		t.Fatal("fresh store reports timings")
-	}
-	if err := ds.RecordTiming("fig5", 90*time.Second); err != nil {
-		t.Fatal(err)
-	}
-	if err := ds.RecordTiming("table1", 1500*time.Microsecond); err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := OpenArchive(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := reopened.Timings()
-	want := map[string]time.Duration{
-		"fig5":   90 * time.Second,
-		"table1": 1500 * time.Microsecond,
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("timings after reopen: %v, want %v", got, want)
-	}
-}
-
 // TestDiskStoreCorruptListing: Corrupt() surfaces exactly the memoized
 // decode failures — nothing before a probe, each corrupt slot after
 // its Get, ordered by provider (manifest order) then day — and a Put
